@@ -36,6 +36,28 @@ if [ -n "$cli_raw_telemetry" ]; then
   exit 1
 fi
 
+# The line codecs and the streaming source share one record loop,
+# `ByteLines::next_record`: it alone turns a bad unterminated last line
+# into `UnexpectedEof` and checks the `Skip` budget, so a second
+# recovery loop cannot regrow beside it. XES parses XML, not lines, and
+# is exempt. Test modules (after `#[cfg(test)]`) are not scanned.
+echo "==> one record loop: UnexpectedEof and over_budget only in ByteLines::next_record"
+record_loop_sites=$(awk '
+  FNR == 1 { fn_name = "" }
+  /#\[cfg\(test\)\]/ { nextfile }
+  match($0, /fn [a-z_0-9]+/) { fn_name = substr($0, RSTART + 3, RLENGTH - 3) }
+  /LogError::UnexpectedEof \{/ { print FILENAME ":" FNR ": UnexpectedEof in fn " fn_name }
+  /\.over_budget\(/ { print FILENAME ":" FNR ": over_budget in fn " fn_name }
+' crates/log/src/codec/{mod,flowmark,seqs,jsonl}.rs $(find crates/log/src/stream -name '*.rs' | sort))
+stray=$(printf '%s\n' "$record_loop_sites" | grep -v ' in fn next_record$' || true)
+eof_count=$(printf '%s\n' "$record_loop_sites" | grep -c 'UnexpectedEof in fn next_record$' || true)
+budget_count=$(printf '%s\n' "$record_loop_sites" | grep -c 'over_budget in fn next_record$' || true)
+if [ -n "$stray" ] || [ "$eof_count" -ne 1 ] || [ "$budget_count" -ne 1 ]; then
+  echo "the per-record recovery policy must live once, in ByteLines::next_record:" >&2
+  echo "$record_loop_sites" >&2
+  exit 1
+fi
+
 echo "==> tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q

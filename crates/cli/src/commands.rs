@@ -53,13 +53,12 @@ COMMANDS:
       --json FILE          write the mined model as JSON
       --bpmn FILE          write the mined model as BPMN 2.0 XML
       --check              verify conformance (Definition 7) after mining
-      --stream             stream the log through the incremental miner
-                           (flowmark format, contiguous cases; bad cases
-                           are skipped with a warning)
       --follow             online mining over a live event stream
                            (flowmark format; cases may interleave).
                            <LOG> may be `-` for stdin; final model
-                           prints in the same shape as batch mining
+                           prints in the same shape as batch mining,
+                           except the split/join gateway lines, which
+                           need the materialized log (batch only)
       --snapshot-every N   with --follow: print an interim model
                            summary to stderr every N absorbed events
       --max-open-cases N   with --follow: bound on concurrently open
@@ -86,7 +85,7 @@ COMMANDS:
                            up to N times before failing (default 3)
       --threads N          mine with the parallel general miner on N
                            threads (requires --algorithm auto|general;
-                           not combinable with --stream); with
+                           not combinable with --follow); with
                            --format xes the log is also decoded in
                            parallel chunks
       --stats              print pipeline telemetry (stage timings,
@@ -523,68 +522,23 @@ fn mine_with<S: MetricsSink>(
     })
 }
 
-/// Streams a flowmark log through the incremental miner, skipping bad
-/// cases with a warning. Returns the model and the log (re-read in
-/// batch form for the conformance/gateway reporting). The stream's
-/// byte/event/execution tallies are merged into `codec_stats` and its
-/// decode-error accounting into `ingest`. Under a recovering `policy`
-/// the stream itself skips bad lines; under `Strict` a decode error
-/// aborts the whole command (the historical `--stream` behaviour of
-/// warning and continuing applies only to *assembly* rejections, which
-/// the miner reports per case).
-fn mine_streaming<S: MetricsSink>(
-    path: &str,
-    options: MinerOptions,
-    policy: RecoveryPolicy,
-    session: &mut MineSession<S>,
-    codec_stats: &mut CodecStats,
-    ingest: &mut IngestReport,
-) -> Result<(MinedModel, WorkflowLog), Box<dyn Error>> {
-    use procmine_log::codec::stream::ExecutionStream;
-    let tracer = session.tracer().clone();
-    let stream_span = tracer.span_cat("stream.ingest", "codec");
-    let mut miner = procmine_core::IncrementalMiner::new(options);
-    let mut stream = ExecutionStream::with_policy(BufReader::new(File::open(path)?), policy);
-    let mut skipped = 0usize;
-    let mut kept = WorkflowLog::new();
-    while let Some(result) = stream.next() {
-        match result {
-            Ok(exec) => {
-                let table = stream.activities().clone();
-                match miner.absorb_execution(&exec, &table) {
-                    Ok(()) => {
-                        let names: Vec<String> = exec
-                            .sequence()
-                            .iter()
-                            .map(|&a| table.name(a).to_string())
-                            .collect();
-                        kept.push_sequence(&names)?;
-                    }
-                    Err(e) => {
-                        errln!("warning: skipping case `{}`: {e}", exec.id);
-                        skipped += 1;
-                    }
-                }
-            }
-            Err(e) if policy.is_strict() => {
-                codec_stats.merge(&stream.stats());
-                ingest.merge(stream.report());
-                return Err(e.into());
-            }
-            Err(e) => {
-                errln!("warning: skipping unparsable case: {e}");
-                skipped += 1;
-            }
+/// Prints the route analytics that need only the model, shared by
+/// batch and follow mining: distinct routes, the critical path and the
+/// mandatory activities (acyclic models with a unique source and sink).
+fn print_model_analytics(model: &MinedModel) {
+    let g = model.graph();
+    if let (&[source], &[sink]) = (&g.sources()[..], &g.sinks()[..]) {
+        if let Ok(routes) = procmine_graph::paths::count_paths(g, source, sink) {
+            outln!("distinct routes: {routes}");
         }
+        if let Ok(Some(critical)) = procmine_graph::paths::longest_path(g, source, sink) {
+            let names: Vec<&str> = critical.iter().map(|&v| g.node(v).as_str()).collect();
+            outln!("critical path:   {}", names.join(" -> "));
+        }
+        let mandatory = procmine_graph::dominators::mandatory_activities(g, source, sink);
+        let names: Vec<&str> = mandatory.iter().map(|&v| g.node(v).as_str()).collect();
+        outln!("mandatory:       {}", names.join(", "));
     }
-    if skipped > 0 {
-        errln!("streamed with {skipped} case(s) skipped");
-    }
-    codec_stats.merge(&stream.stats());
-    ingest.merge(stream.report());
-    drop(stream_span);
-    let model = miner.model_in(session)?;
-    Ok((model, kept))
 }
 
 /// Writes the `--dot` / `--graphml` / `--json` model artifacts shared
@@ -957,9 +911,6 @@ fn mine_follow(p: &Parsed) -> CliResult {
         .positional()
         .first()
         .ok_or(ArgError::Required("log file (or - for stdin)"))?;
-    if p.has("stream") {
-        return Err("--follow already streams; drop --stream".into());
-    }
     if p.has("check") || p.get("bpmn").is_some() {
         return Err("--check/--bpmn need a materialized log and cannot follow a stream".into());
     }
@@ -1286,6 +1237,7 @@ fn mine_follow(p: &Parsed) -> CliResult {
     for (u, v) in model.edges_named() {
         outln!("  {u} -> {v}");
     }
+    print_model_analytics(&model);
 
     write_model_artifacts(p, &model)?;
     report_mine_stats(p, &codec_stats, &ingest, &metrics, &tracer)?;
@@ -1320,7 +1272,7 @@ fn mine(argv: &[String]) -> CliResult {
             "metrics",
             "metrics-every",
         ],
-        &["check", "stream", "stats", "recover", "follow"],
+        &["check", "stats", "recover", "follow"],
     )?;
     if p.has("follow") {
         return mine_follow(&p);
@@ -1353,37 +1305,18 @@ fn mine(argv: &[String]) -> CliResult {
     let mut metrics = MinerMetrics::new();
     let mut session = base.with_sink(&mut metrics);
     let started = std::time::Instant::now();
-    let (model, log, algorithm) = if p.has("stream") {
-        if p.get("format").is_some_and(|f| f != "flowmark") {
-            return Err("--stream supports the flowmark format only".into());
-        }
-        if p.get("threads").is_some() {
-            return Err("--threads cannot be combined with --stream".into());
-        }
-        let (model, log) = mine_streaming(
-            path,
-            miner_options(&p)?,
-            policy,
-            &mut session,
-            &mut codec_stats,
-            &mut ingest,
-        )?;
-        (model, log, Algorithm::GeneralDag)
-    } else {
-        let format = p.get("format").unwrap_or("flowmark");
-        let log = read_log_with(
-            path,
-            format,
-            policy,
-            &mut codec_stats,
-            &mut ingest,
-            &tracer,
-            &reg,
-            threads.max(1),
-        )?;
-        let (model, algorithm) = mine_with(&p, &mut session, &log)?;
-        (model, log, algorithm)
-    };
+    let format = p.get("format").unwrap_or("flowmark");
+    let log = read_log_with(
+        path,
+        format,
+        policy,
+        &mut codec_stats,
+        &mut ingest,
+        &tracer,
+        &reg,
+        threads.max(1),
+    )?;
+    let (model, algorithm) = mine_with(&p, &mut session, &log)?;
     drop(session);
     report_ingest(&ingest, policy);
     let elapsed = started.elapsed();
@@ -1398,21 +1331,7 @@ fn mine(argv: &[String]) -> CliResult {
     for (u, v) in model.edges_named() {
         outln!("  {u} -> {v}");
     }
-
-    // Route analytics (acyclic models with a unique source and sink).
-    let g = model.graph();
-    if let (&[source], &[sink]) = (&g.sources()[..], &g.sinks()[..]) {
-        if let Ok(routes) = procmine_graph::paths::count_paths(g, source, sink) {
-            outln!("distinct routes: {routes}");
-        }
-        if let Ok(Some(critical)) = procmine_graph::paths::longest_path(g, source, sink) {
-            let names: Vec<&str> = critical.iter().map(|&v| g.node(v).as_str()).collect();
-            outln!("critical path:   {}", names.join(" -> "));
-        }
-        let mandatory = procmine_graph::dominators::mandatory_activities(g, source, sink);
-        let names: Vec<&str> = mandatory.iter().map(|&v| g.node(v).as_str()).collect();
-        outln!("mandatory:       {}", names.join(", "));
-    }
+    print_model_analytics(&model);
 
     // Split/join semantics from the log's co-occurrence statistics.
     let gateways = procmine_core::splits::analyze_gateways(&model, &log);
@@ -1435,7 +1354,6 @@ fn mine(argv: &[String]) -> CliResult {
 
     write_model_artifacts(&p, &model)?;
     if let Some(bpmn_path) = p.get("bpmn") {
-        let gateways = procmine_core::splits::analyze_gateways(&model, &log);
         std::fs::write(
             bpmn_path,
             procmine_core::bpmn::to_bpmn_xml(&model, &gateways, "mined_process"),

@@ -188,7 +188,7 @@ fn stream_mining_matches_batch() {
         log.to_str().unwrap(),
     ]);
     let batch = procmine(&["mine", log.to_str().unwrap()]);
-    let stream = procmine(&["mine", log.to_str().unwrap(), "--stream"]);
+    let stream = procmine(&["mine", "--follow", log.to_str().unwrap()]);
     assert!(batch.status.success() && stream.status.success());
     let edges = |out: &[u8]| -> Vec<String> {
         String::from_utf8_lossy(out)
@@ -202,6 +202,59 @@ fn stream_mining_matches_batch() {
     a.sort();
     b.sort();
     assert_eq!(a, b);
+}
+
+#[test]
+fn follow_prints_the_model_analytics_of_batch() {
+    let dir = tmpdir("follow-analytics");
+    let log = dir.join("log.fm");
+    procmine(&[
+        "generate",
+        "--preset",
+        "graph10",
+        "--executions",
+        "150",
+        "--seed",
+        "4",
+        "-o",
+        log.to_str().unwrap(),
+    ]);
+    let batch = procmine(&["mine", log.to_str().unwrap()]);
+    let follow = procmine(&["mine", "--follow", log.to_str().unwrap()]);
+    assert!(batch.status.success() && follow.status.success());
+    let analytics = |out: &[u8]| -> Vec<String> {
+        String::from_utf8_lossy(out)
+            .lines()
+            .filter(|l| {
+                l.starts_with("distinct routes:")
+                    || l.starts_with("critical path:")
+                    || l.starts_with("mandatory:")
+            })
+            .map(str::to_string)
+            .collect()
+    };
+    let a = analytics(&batch.stdout);
+    assert_eq!(a.len(), 3, "{}", String::from_utf8_lossy(&batch.stdout));
+    assert_eq!(a, analytics(&follow.stdout));
+}
+
+#[test]
+fn stream_flag_is_gone() {
+    let dir = tmpdir("no-stream");
+    let log = dir.join("log.fm");
+    procmine(&[
+        "generate",
+        "--preset",
+        "uwi",
+        "--executions",
+        "10",
+        "-o",
+        log.to_str().unwrap(),
+    ]);
+    let out = procmine(&["mine", log.to_str().unwrap(), "--stream"]);
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("--stream"), "{err}");
 }
 
 #[test]
@@ -373,8 +426,8 @@ fn stream_stats_report_miner_counters() {
     ]);
     let out = procmine(&[
         "mine",
+        "--follow",
         log.to_str().unwrap(),
-        "--stream",
         "--stats-json",
         stats.to_str().unwrap(),
     ]);
@@ -545,8 +598,8 @@ fn stream_stats_count_real_codec_bytes() {
     ]);
     let out = procmine(&[
         "mine",
+        "--follow",
         log.to_str().unwrap(),
-        "--stream",
         "--stats-json",
         stats.to_str().unwrap(),
     ]);
@@ -565,28 +618,6 @@ fn stream_stats_count_real_codec_bytes() {
     );
     assert!(codec.get("events_parsed").unwrap().as_u64().unwrap() > 0);
     assert_eq!(codec.get("executions_parsed").unwrap().as_u64(), Some(80));
-}
-
-#[test]
-fn threads_and_stream_are_mutually_exclusive() {
-    let dir = tmpdir("threads-stream");
-    let log = dir.join("log.fm");
-    procmine(&[
-        "generate",
-        "--preset",
-        "uwi",
-        "--executions",
-        "10",
-        "-o",
-        log.to_str().unwrap(),
-    ]);
-    let out = procmine(&["mine", log.to_str().unwrap(), "--stream", "--threads", "2"]);
-    assert!(!out.status.success());
-    assert!(
-        String::from_utf8_lossy(&out.stderr).contains("--threads"),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
 }
 
 #[test]
@@ -1249,12 +1280,6 @@ fn follow_assembles_interleaved_cases_that_break_contiguous_stream() {
     let text = String::from_utf8_lossy(&follow.stdout);
     assert!(text.contains("2 executions"), "{text}");
     assert!(text.contains("A -> B"), "{text}");
-
-    // The contiguous strict reader refuses the same input.
-    let strict = procmine(&["mine", "--stream", log.to_str().unwrap()]);
-    assert!(!strict.status.success());
-    let err = String::from_utf8_lossy(&strict.stderr);
-    assert!(err.contains("p1"), "{err}");
 }
 
 #[test]
@@ -1303,7 +1328,7 @@ fn follow_flag_validation() {
     ]);
     let path = log.to_str().unwrap();
     // Incompatible combinations are rejected up front.
-    for extra in [&["--stream"][..], &["--check"][..], &["--threads", "4"][..]] {
+    for extra in [&["--check"][..], &["--threads", "4"][..]] {
         let mut args = vec!["mine", "--follow", path];
         args.extend_from_slice(extra);
         let out = procmine(&args);

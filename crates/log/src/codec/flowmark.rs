@@ -18,16 +18,14 @@ use crate::validate::{assemble_executions_with, AssemblyPolicy};
 use crate::{ActivityTable, EventKind, EventRecord, LogError, WorkflowLog};
 use std::io::{BufRead, Write};
 
-/// Parses a Flowmark-style event stream into raw records.
+/// Parses a Flowmark-style event stream into raw records. Strict: the
+/// first bad line, terminated or not, is returned as its
+/// [`LogError::Parse`] with a 1-based line number.
 pub fn read_events<R: BufRead>(reader: R) -> Result<Vec<EventRecord>, LogError> {
+    let mut lines = ByteLines::new(reader);
     let mut records = Vec::new();
-    for (lineno, line) in reader.lines().enumerate() {
-        let line = line?;
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') {
-            continue;
-        }
-        records.push(parse_event_line(trimmed, lineno + 1)?);
+    while let Some(record) = lines.next_parsed(parse_line)? {
+        records.push(record);
     }
     Ok(records)
 }
@@ -98,44 +96,8 @@ fn collect_records<R: BufRead>(
     report: &mut IngestReport,
 ) -> Result<Vec<EventRecord>, LogError> {
     let mut records = Vec::new();
-    while let Some((offset, lineno, had_newline)) = lines.read_next()? {
-        let raw = lines.line();
-        let parsed = match std::str::from_utf8(raw) {
-            Ok(text) => {
-                let trimmed = text.trim();
-                if trimmed.is_empty() || trimmed.starts_with('#') {
-                    continue;
-                }
-                parse_event_line(trimmed, lineno)
-            }
-            Err(_) => Err(LogError::Parse {
-                line: lineno,
-                message: "line is not valid UTF-8".to_string(),
-            }),
-        };
-        match parsed {
-            Ok(record) => {
-                report.records_parsed += 1;
-                records.push(record);
-            }
-            Err(e) => {
-                // A bad final line with no newline is a truncated tail.
-                let err = if had_newline {
-                    e
-                } else {
-                    LogError::UnexpectedEof {
-                        byte_offset: offset,
-                        message: format!("input ends mid-record ({e})"),
-                    }
-                };
-                report.record_error(offset, lineno, err.to_string());
-                if policy.is_strict() {
-                    return Err(err);
-                }
-                report.records_skipped += 1;
-                report.over_budget(policy)?;
-            }
-        }
+    while let Some((record, _)) = lines.next_record(policy, report, parse_line)? {
+        records.push(record);
     }
     Ok(records)
 }
@@ -194,8 +156,19 @@ fn check_field(s: &str) -> Result<(), LogError> {
     Ok(())
 }
 
+/// Parses one line of a Flowmark log: `Ok(None)` for a blank line or a
+/// `#` comment. The line parser of the batch readers and of
+/// [`FlowmarkSource`](crate::stream::FlowmarkSource).
+pub(crate) fn parse_line(text: &str, lineno: usize) -> Result<Option<EventRecord>, LogError> {
+    let trimmed = text.trim();
+    if trimmed.is_empty() || trimmed.starts_with('#') {
+        return Ok(None);
+    }
+    parse_event_line(trimmed, lineno).map(Some)
+}
+
 /// Parses one Flowmark-style event line (1-based `lineno` for error
-/// reporting). Used by the batch reader and the streaming reader.
+/// reporting).
 pub fn parse_event_line(line: &str, lineno: usize) -> Result<EventRecord, LogError> {
     let parts: Vec<&str> = line.split(',').collect();
     if parts.len() < 4 || parts.len() > 5 {

@@ -109,47 +109,23 @@ fn read_impl<R: BufRead>(
     table: &mut ActivityTable,
     executions: &mut Vec<Execution>,
 ) -> Result<(), LogError> {
-    while let Some((offset, lineno, had_newline)) = lines.read_next()? {
-        match parse_line(lines.line(), lineno, table) {
-            Ok(None) => {}
-            Ok(Some(exec)) => {
-                stats.events_parsed += exec.len() as u64;
-                report.records_parsed += 1;
-                executions.push(exec);
-            }
-            Err(e) => {
-                let err = if had_newline {
-                    e
-                } else {
-                    LogError::UnexpectedEof {
-                        byte_offset: offset,
-                        message: format!("input ends mid-record ({e})"),
-                    }
-                };
-                report.record_error(offset, lineno, err.to_string());
-                if policy.is_strict() {
-                    return Err(err);
-                }
-                report.records_skipped += 1;
-                report.over_budget(policy)?;
-            }
-        }
+    while let Some((exec, _)) = lines.next_record(policy, report, |text, lineno| {
+        parse_line(text, lineno, table)
+    })? {
+        stats.events_parsed += exec.len() as u64;
+        executions.push(exec);
     }
     Ok(())
 }
 
-/// Parses one JSON-lines record; `Ok(None)` for a blank line. The
-/// execution is validated *before* names are interned, so a skipped
-/// record cannot pollute the activity table.
+/// Parses one JSON-lines record; `Ok(None)` for a blank line (`#` is
+/// not a comment here). The execution is validated *before* names are
+/// interned, so a skipped record cannot pollute the activity table.
 fn parse_line(
-    raw: &[u8],
+    text: &str,
     lineno: usize,
     table: &mut ActivityTable,
 ) -> Result<Option<Execution>, LogError> {
-    let text = std::str::from_utf8(raw).map_err(|_| LogError::Parse {
-        line: lineno,
-        message: "line is not valid UTF-8".to_string(),
-    })?;
     if text.trim().is_empty() {
         return Ok(None);
     }

@@ -1,6 +1,6 @@
 //! Log codecs: serialization formats for workflow logs.
 //!
-//! Three formats are provided:
+//! Four formats are provided:
 //!
 //! * [`flowmark`] — a CSV-like event format modelled on the IBM Flowmark
 //!   audit-trail convention the paper's implementation consumed: one
@@ -17,10 +17,10 @@
 pub mod flowmark;
 pub mod jsonl;
 pub mod seqs;
-pub mod stream;
 pub mod xes;
 pub mod xes_reference;
 
+use crate::stream::SourceLocation;
 use crate::LogError;
 use std::io::{BufRead, Read};
 
@@ -191,38 +191,62 @@ fn json_escape(s: &str) -> String {
     out
 }
 
-/// Byte-level line reader for the recovering decode paths: unlike
+/// Byte-level line reader for the line codecs: unlike
 /// [`BufRead::lines`], it survives invalid UTF-8 (a bit flip must not
 /// abort the whole read as an I/O error), reports each line's starting
 /// byte offset, and says whether the line was newline-terminated — the
 /// signal that distinguishes a garbage line from a truncated tail.
+///
+/// Locations are absolute in the original input: a reader created with
+/// [`ByteLines::with_origin`] (a resume mid-file) offsets every reported
+/// byte and line by where it started, while [`ByteLines::bytes`] still
+/// counts only the bytes this reader consumed.
 pub(crate) struct ByteLines<R: BufRead> {
     reader: CountingReader<R>,
     buf: Vec<u8>,
     lineno: usize,
+    base_offset: u64,
+    base_line: usize,
 }
 
 impl<R: BufRead> ByteLines<R> {
     pub fn new(reader: R) -> Self {
+        ByteLines::with_origin(reader, 0, 0)
+    }
+
+    /// A reader whose first byte sits `byte_offset` bytes (and `line`
+    /// full lines) into the original input.
+    pub fn with_origin(reader: R, byte_offset: u64, line: usize) -> Self {
         ByteLines {
             reader: CountingReader::new(reader),
             buf: Vec::new(),
             lineno: 0,
+            base_offset: byte_offset,
+            base_line: line,
         }
     }
 
-    /// Bytes consumed so far.
+    /// Bytes consumed by this reader (the origin not included).
     pub fn bytes(&self) -> u64 {
         // Fully qualified: `Read::bytes` (in scope here) would win the
         // by-value probe over the inherent counter.
         CountingReader::bytes(&self.reader)
     }
 
+    /// The absolute `(byte_offset, line)` just past the last line read.
+    pub fn position(&self) -> (u64, usize) {
+        (
+            self.base_offset + self.bytes(),
+            self.base_line + self.lineno,
+        )
+    }
+
     /// Advances to the next line. Returns `Ok(Some((byte_offset,
-    /// lineno, had_newline)))` and exposes the raw bytes via
-    /// [`ByteLines::line`]; `Ok(None)` at EOF. I/O errors are fatal.
-    pub fn read_next(&mut self) -> Result<Option<(u64, usize, bool)>, LogError> {
-        let offset = CountingReader::bytes(&self.reader);
+    /// lineno, had_newline)))` with the line's absolute location and
+    /// keeps its bytes, without the line terminator, in `self.buf`;
+    /// `Ok(None)` at EOF. I/O errors are fatal.
+    fn read_next(&mut self) -> Result<Option<(u64, usize, bool)>, LogError> {
+        let (offset, _) = self.position();
         self.buf.clear();
         let n = self.reader.read_until(b'\n', &mut self.buf)?;
         if n == 0 {
@@ -236,19 +260,79 @@ impl<R: BufRead> ByteLines<R> {
                 self.buf.pop();
             }
         }
-        Ok(Some((offset, self.lineno, had_newline)))
+        Ok(Some((offset, self.base_line + self.lineno, had_newline)))
     }
 
-    /// The bytes of the line returned by the last
-    /// [`ByteLines::read_next`], without the line terminator.
-    pub fn line(&self) -> &[u8] {
-        &self.buf
+    /// The text of the line returned by the last
+    /// [`ByteLines::read_next`], or a located parse error when it is
+    /// not valid UTF-8.
+    fn text(&self, lineno: usize) -> Result<&str, LogError> {
+        std::str::from_utf8(&self.buf).map_err(|_| LogError::Parse {
+            line: lineno,
+            message: "line is not valid UTF-8".to_string(),
+        })
     }
 
-    /// Lines consumed so far (the 1-based number of the last line
-    /// returned by [`ByteLines::read_next`]; 0 before the first).
-    pub fn lineno(&self) -> usize {
-        self.lineno
+    /// Reads lines until `parse` accepts one, and returns its record
+    /// with the line's location; `Ok(None)` at EOF. `parse` gets each
+    /// line's text and 1-based line number and returns `Ok(None)` for a
+    /// line that holds no record (a blank or a comment, as the format
+    /// defines them).
+    ///
+    /// This is the one recovery loop of the line codecs. A line that is
+    /// not UTF-8 or that `parse` rejects is recorded in `report` with
+    /// its location; when it is the unterminated last line the error
+    /// becomes [`LogError::UnexpectedEof`] (a truncated file, not a
+    /// garbage line). Under [`RecoveryPolicy::Strict`] the error is
+    /// returned; otherwise the line is counted as skipped and reading
+    /// goes on until the [`RecoveryPolicy::Skip`] budget runs out. I/O
+    /// errors are returned as they are, unrecorded.
+    pub fn next_record<T>(
+        &mut self,
+        policy: RecoveryPolicy,
+        report: &mut IngestReport,
+        mut parse: impl FnMut(&str, usize) -> Result<Option<T>, LogError>,
+    ) -> Result<Option<(T, SourceLocation)>, LogError> {
+        while let Some((offset, lineno, had_newline)) = self.read_next()? {
+            let err = match self.text(lineno).and_then(|text| parse(text, lineno)) {
+                Ok(None) => continue,
+                Ok(Some(record)) => {
+                    report.records_parsed += 1;
+                    let at = SourceLocation {
+                        byte_offset: offset,
+                        line: lineno,
+                    };
+                    return Ok(Some((record, at)));
+                }
+                Err(e) if had_newline => e,
+                Err(e) => LogError::UnexpectedEof {
+                    byte_offset: offset,
+                    message: format!("input ends mid-record ({e})"),
+                },
+            };
+            report.record_error(offset, lineno, err.to_string());
+            if policy.is_strict() {
+                return Err(err);
+            }
+            report.records_skipped += 1;
+            report.over_budget(policy)?;
+        }
+        Ok(None)
+    }
+
+    /// [`ByteLines::next_record`] without recovery or a report: the
+    /// first line that is not UTF-8 or that `parse` rejects ends the
+    /// read with that line's error, whether or not it is terminated.
+    pub fn next_parsed<T>(
+        &mut self,
+        mut parse: impl FnMut(&str, usize) -> Result<Option<T>, LogError>,
+    ) -> Result<Option<T>, LogError> {
+        while let Some((_, lineno, _)) = self.read_next()? {
+            if let Some(record) = parse(self.text(lineno)?, lineno)? {
+                return Ok(Some(record));
+            }
+        }
+        Ok(None)
     }
 }
 
@@ -272,8 +356,8 @@ pub struct CodecStats {
 }
 
 impl CodecStats {
-    /// Adds `other`'s tallies into `self` (stats from separate reads or
-    /// a finished [`stream::ExecutionStream`]).
+    /// Adds `other`'s tallies into `self` (stats from separate reads,
+    /// or a resumed stream's tallies on top of its checkpoint's).
     pub fn merge(&mut self, other: &CodecStats) {
         self.bytes_read += other.bytes_read;
         self.events_parsed += other.events_parsed;

@@ -61,54 +61,30 @@ fn read_impl<R: BufRead>(
     report: &mut IngestReport,
     log: &mut WorkflowLog,
 ) -> Result<(), LogError> {
-    while let Some((offset, lineno, had_newline)) = lines.read_next()? {
-        let pushed = match std::str::from_utf8(lines.line()) {
-            Ok(text) => {
-                let trimmed = text.trim();
-                if trimmed.is_empty() || trimmed.starts_with('#') {
-                    continue;
-                }
-                let names: Vec<&str> = trimmed.split_whitespace().collect();
-                let count = names.len() as u64;
-                log.push_sequence(&names)
-                    .map(|_| count)
-                    .map_err(|e| match e {
-                        LogError::EmptyExecution { .. } => LogError::Parse {
-                            line: lineno,
-                            message: "empty execution".to_string(),
-                        },
-                        other => other,
-                    })
-            }
-            Err(_) => Err(LogError::Parse {
-                line: lineno,
-                message: "line is not valid UTF-8".to_string(),
-            }),
-        };
-        match pushed {
-            Ok(count) => {
-                stats.events_parsed += count;
-                report.records_parsed += 1;
-            }
-            Err(e) => {
-                let err = if had_newline {
-                    e
-                } else {
-                    LogError::UnexpectedEof {
-                        byte_offset: offset,
-                        message: format!("input ends mid-record ({e})"),
-                    }
-                };
-                report.record_error(offset, lineno, err.to_string());
-                if policy.is_strict() {
-                    return Err(err);
-                }
-                report.records_skipped += 1;
-                report.over_budget(policy)?;
-            }
-        }
+    while let Some((count, _)) =
+        lines.next_record(policy, report, |text, lineno| push_line(text, lineno, log))?
+    {
+        stats.events_parsed += count;
     }
     Ok(())
+}
+
+/// Appends one line's execution to `log` and returns its activity
+/// count; `Ok(None)` for a blank line or a `#` comment.
+fn push_line(text: &str, lineno: usize, log: &mut WorkflowLog) -> Result<Option<u64>, LogError> {
+    let trimmed = text.trim();
+    if trimmed.is_empty() || trimmed.starts_with('#') {
+        return Ok(None);
+    }
+    let names: Vec<&str> = trimmed.split_whitespace().collect();
+    match log.push_sequence(&names) {
+        Ok(_) => Ok(Some(names.len() as u64)),
+        Err(LogError::EmptyExecution { .. }) => Err(LogError::Parse {
+            line: lineno,
+            message: "empty execution".to_string(),
+        }),
+        Err(other) => Err(other),
+    }
 }
 
 /// Writes a log in sequence format (activity names in start-time order,

@@ -1,11 +1,10 @@
 //! The interleaved case assembler: events in, completed executions out.
 //!
-//! [`ExecutionStream`](crate::codec::stream::ExecutionStream) assumes
-//! *contiguous cases* — all records of one case adjacent in the log.
-//! Real multi-writer audit trails interleave cases freely, and under
-//! that assumption a case id that reappears is silently split into two
-//! executions, corrupting follows counts. [`CaseAssembler`] drops the
-//! assumption: events are keyed into an open-case map by case id, and a
+//! Real multi-writer audit trails interleave cases freely, so nothing
+//! here assumes *contiguous cases* (all records of one case adjacent in
+//! the log); under that assumption a case id that reappears would be
+//! silently split into two executions, corrupting follows counts.
+//! Instead, events are keyed into an open-case map by case id, and a
 //! case is assembled into an [`Execution`](crate::Execution) when it
 //! *closes* — evicted by the memory bound, or flushed at end of input.
 //!

@@ -15,9 +15,8 @@
 //! * [`stages`] — composable [`StreamSink`] adapters: [`Filter`],
 //!   [`Repair`], [`Validate`], [`Stats`];
 //! * [`CaseAssembler`] — the interleaved case assembler: a keyed
-//!   open-case map under a bounded memory window, replacing the
-//!   contiguous-cases assumption of
-//!   [`codec::stream::ExecutionStream`](crate::codec::stream::ExecutionStream);
+//!   open-case map under a bounded memory window, so cases may
+//!   interleave freely;
 //! * [`FlowmarkSource`] — a pull-based Flowmark event source with the
 //!   same [`RecoveryPolicy`](crate::RecoveryPolicy) /
 //!   [`IngestReport`](crate::IngestReport) semantics as the batch

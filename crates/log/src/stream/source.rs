@@ -1,16 +1,14 @@
 //! Pull-based Flowmark event source for streaming pipelines.
 //!
-//! [`FlowmarkSource`] reads one Flowmark record at a time with the same
-//! [`RecoveryPolicy`] / [`IngestReport`] semantics as the batch codec:
-//! under [`RecoveryPolicy::Strict`] the first bad line is fatal; under
-//! a recovering policy bad lines are skipped and counted, a truncated
-//! unterminated tail surfaces as
-//! [`LogError::UnexpectedEof`](crate::LogError::UnexpectedEof), and a
+//! [`FlowmarkSource`] reads one Flowmark record at a time through the
+//! same record loop as the batch codec, so it has the same
+//! [`RecoveryPolicy`] / [`IngestReport`] semantics: under
+//! [`RecoveryPolicy::Strict`] the first bad line is fatal; under a
+//! recovering policy bad lines are skipped and counted, a truncated
+//! unterminated tail surfaces as [`LogError::UnexpectedEof`], and a
 //! [`RecoveryPolicy::Skip`] budget overrun ends the stream with
-//! [`LogError::TooManyErrors`](crate::LogError::TooManyErrors). Unlike
-//! [`ExecutionStream`](crate::codec::stream::ExecutionStream) it emits
-//! raw *events*, leaving case assembly to a downstream
-//! [`StreamSink`] — typically a
+//! [`LogError::TooManyErrors`]. It emits raw *events*, leaving case
+//! assembly to a downstream [`StreamSink`] — typically a
 //! [`CaseAssembler`](super::CaseAssembler) behind some [`stages`](super::stages).
 
 use super::{SourceLocation, StreamError, StreamSink};
@@ -28,12 +26,6 @@ pub struct FlowmarkSource<R: BufRead> {
     stats: CodecStats,
     report: IngestReport,
     done: bool,
-    /// Byte offset of the reader's first byte within the original
-    /// source (nonzero when resuming from a checkpoint); added to every
-    /// reported location so diagnostics stay absolute.
-    base_offset: u64,
-    /// Line number of the line *before* the reader's first line.
-    base_line: usize,
 }
 
 impl<R: BufRead> FlowmarkSource<R> {
@@ -48,13 +40,11 @@ impl<R: BufRead> FlowmarkSource<R> {
     /// [`FlowmarkSource::position`] are absolute in the original input.
     pub fn with_origin(reader: R, policy: RecoveryPolicy, byte_offset: u64, line: usize) -> Self {
         FlowmarkSource {
-            lines: ByteLines::new(reader),
+            lines: ByteLines::with_origin(reader, byte_offset, line),
             policy,
             stats: CodecStats::default(),
             report: IngestReport::default(),
             done: false,
-            base_offset: byte_offset,
-            base_line: line,
         }
     }
 
@@ -63,10 +53,7 @@ impl<R: BufRead> FlowmarkSource<R> {
     /// offset the next record starts at, which makes it safe to
     /// persist in a checkpoint and seek back to on resume.
     pub fn position(&self) -> (u64, usize) {
-        (
-            self.base_offset + self.lines.bytes(),
-            self.base_line + self.lines.lineno(),
-        )
+        self.lines.position()
     }
 
     /// Byte/event tallies so far (`executions_parsed` stays zero — the
@@ -91,76 +78,27 @@ impl<R: BufRead> FlowmarkSource<R> {
         if self.done {
             return Ok(None);
         }
-        loop {
-            let (offset, lineno, had_newline) = match self.lines.read_next() {
-                Ok(Some((offset, lineno, had_newline))) => (
-                    self.base_offset + offset,
-                    self.base_line + lineno,
-                    had_newline,
-                ),
-                Ok(None) => {
-                    self.done = true;
-                    return Ok(None);
+        match self
+            .lines
+            .next_record(self.policy, &mut self.report, flowmark::parse_line)
+        {
+            Ok(Some(event)) => {
+                self.stats.events_parsed += 1;
+                Ok(Some(event))
+            }
+            Ok(None) => {
+                self.done = true;
+                Ok(None)
+            }
+            Err(e) => {
+                // Decode errors are already in the report; a fatal I/O
+                // error is recorded here, at the position it hit.
+                if let LogError::Io(_) = e {
+                    let (byte_offset, line) = self.lines.position();
+                    self.report.record_error(byte_offset, line, e.to_string());
                 }
-                Err(e) => {
-                    // Fatal I/O error: record it and terminate — a
-                    // persistently failing reader must not produce an
-                    // unbounded error stream.
-                    self.report.record_error(
-                        self.base_offset + self.lines.bytes(),
-                        self.base_line + self.lines.lineno(),
-                        e.to_string(),
-                    );
-                    self.done = true;
-                    return Err(e);
-                }
-            };
-            let parsed = match std::str::from_utf8(self.lines.line()) {
-                Ok(text) => {
-                    let trimmed = text.trim();
-                    if trimmed.is_empty() || trimmed.starts_with('#') {
-                        continue;
-                    }
-                    flowmark::parse_event_line(trimmed, lineno)
-                }
-                Err(_) => Err(LogError::Parse {
-                    line: lineno,
-                    message: "line is not valid UTF-8".to_string(),
-                }),
-            };
-            match parsed {
-                Ok(record) => {
-                    self.stats.events_parsed += 1;
-                    self.report.records_parsed += 1;
-                    return Ok(Some((
-                        record,
-                        SourceLocation {
-                            byte_offset: offset,
-                            line: lineno,
-                        },
-                    )));
-                }
-                Err(e) => {
-                    // A bad final line with no newline is a truncated tail.
-                    let err = if had_newline {
-                        e
-                    } else {
-                        LogError::UnexpectedEof {
-                            byte_offset: offset,
-                            message: format!("input ends mid-record ({e})"),
-                        }
-                    };
-                    self.report.record_error(offset, lineno, err.to_string());
-                    if self.policy.is_strict() {
-                        self.done = true;
-                        return Err(err);
-                    }
-                    self.report.records_skipped += 1;
-                    if let Err(give_up) = self.report.over_budget(self.policy) {
-                        self.done = true;
-                        return Err(give_up);
-                    }
-                }
+                self.done = true;
+                Err(e)
             }
         }
     }

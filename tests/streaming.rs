@@ -22,27 +22,54 @@ use proptest::prelude::*;
 
 /// Strategy: a random log of executions over activities `A`..`J`
 /// (shuffled subsets wrapped in fixed start/end activities — the same
-/// shape as tests/properties.rs).
-fn arb_log(max_execs: usize) -> impl Strategy<Value = WorkflowLog> {
+/// shape as tests/properties.rs), paired with the seed that timed it.
+///
+/// The seed gives every activity instance an interval (§2, Def. 2):
+/// instance `k` starts at `2k` and runs 0, 1, 2, 3 or 5 ticks, so it
+/// may end before, at or after the starts of the next one or two
+/// instances. Overlapping instances have no precedence pair, and
+/// mining must see that in batch and in follow alike. No shrinking:
+/// a failing case prints its seed.
+fn arb_log(max_execs: usize) -> impl Strategy<Value = (WorkflowLog, u64)> {
     let activity_pool: Vec<String> = (b'B'..=b'I').map(|c| (c as char).to_string()).collect();
     let exec = proptest::sample::subsequence(activity_pool, 0..=8).prop_shuffle();
-    proptest::collection::vec(exec, 1..=max_execs).prop_map(|execs| {
-        let mut log = WorkflowLog::new();
-        for middle in execs {
-            let mut seq = vec!["A".to_string()];
-            seq.extend(middle);
-            seq.push("J".to_string());
-            log.push_sequence(&seq).unwrap();
-        }
-        log
-    })
+    (
+        proptest::collection::vec(exec, 1..=max_execs),
+        0u64..=u64::MAX,
+    )
+        .prop_map(|(execs, seed)| {
+            let mut rng = seed;
+            let mut records = Vec::new();
+            for (i, middle) in execs.into_iter().enumerate() {
+                let case = format!("p{i}");
+                let names = std::iter::once("A".to_string())
+                    .chain(middle)
+                    .chain(std::iter::once("J".to_string()));
+                for (k, name) in names.enumerate() {
+                    let start = 2 * k as u64;
+                    let duration = [0, 1, 2, 3, 5][(splitmix64(&mut rng) % 5) as usize];
+                    records.push(EventRecord::start(&case, &name, start));
+                    records.push(EventRecord::end(&case, &name, start + duration, None));
+                }
+            }
+            (WorkflowLog::from_events(&records).unwrap(), seed)
+        })
+}
+
+/// One SplitMix64 step: the timing stream drawn from a seed.
+fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
 }
 
 /// Serializes `log` as flowmark text with the cases *interleaved*:
 /// `picks` decides, event slot by event slot, which still-unfinished
-/// case contributes the next record. Relative event order within each
-/// case is preserved (START before END, instance order), which is all
-/// the assembler requires.
+/// case contributes the next record. Within a case the events keep
+/// time order (START before END at equal times), as a real audit trail
+/// writes them; overlapping instances interleave their STARTs and ENDs.
 fn interleaved_flowmark(log: &WorkflowLog, picks: &[usize]) -> String {
     let table = log.activities();
     let mut queues: Vec<Vec<EventRecord>> = log
@@ -55,6 +82,7 @@ fn interleaved_flowmark(log: &WorkflowLog, picks: &[usize]) -> String {
                 events.push(EventRecord::start(&exec.id, name, inst.start));
                 events.push(EventRecord::end(&exec.id, name, inst.end, None));
             }
+            events.sort_by_key(|e| (e.time, e.kind == EventKind::End));
             events.reverse(); // pop() from the back = front of the case
             events
         })
@@ -147,7 +175,7 @@ proptest! {
     /// materialized log — same edges, same support counts.
     #[test]
     fn follow_parity_with_batch(
-        log in arb_log(10),
+        (log, seed) in arb_log(10),
         picks in proptest::collection::vec(0usize..64, 0..200),
     ) {
         let text = interleaved_flowmark(&log, &picks);
@@ -157,8 +185,13 @@ proptest! {
         // case is ever split.
         let (online, executions) =
             mine_following(&text, RecoveryPolicy::Strict, 1024).unwrap();
-        prop_assert_eq!(executions, log.len());
-        prop_assert_eq!(support_triples(&online), support_triples(&batch));
+        prop_assert_eq!(executions, log.len(), "timing seed {}", seed);
+        prop_assert_eq!(
+            support_triples(&online),
+            support_triples(&batch),
+            "timing seed {}",
+            seed
+        );
     }
 
     /// The interleaved assembler survives corrupted streams under all
@@ -166,7 +199,7 @@ proptest! {
     /// `Skip` any give-up is the budget error.
     #[test]
     fn assembler_survives_corruption_under_all_policies(
-        log in arb_log(6),
+        (log, _) in arb_log(6),
         picks in proptest::collection::vec(0usize..64, 0..100),
         rate_per_mille in 1u32..50,
         seed in 0u64..=u64::MAX,
