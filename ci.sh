@@ -58,6 +58,24 @@ if [ -n "$stray" ] || [ "$eof_count" -ne 1 ] || [ "$budget_count" -ne 1 ]; then
   exit 1
 fi
 
+# Every timed stage is measured once, by a `StageClock`, whose interval
+# feeds the sink timer, the trace span and the registry histogram alike
+# — so `--stats`, `--trace` and `--metrics` agree to the nanosecond. The
+# retired per-view timers must not regrow beside it. Test modules
+# (after `#[cfg(test)]`) and integration tests are not scanned.
+echo "==> one clock: stage intervals only through StageClock"
+clock_sites=$(awk '
+  /#\[cfg\(test\)\]/ { nextfile }
+  /WallStage|(^|[^A-Za-z0-9_])(stage_start|stage_end|observe_since)\(|ENABLED\.then\(Instant::now\)/ {
+    print FILENAME ":" FNR ": " $0
+  }
+' $(find crates src -name '*.rs' -not -path '*/tests/*' | sort))
+if [ -n "$clock_sites" ]; then
+  echo "a second clock is timing a stage; route it through StageClock:" >&2
+  echo "$clock_sites" >&2
+  exit 1
+fi
+
 echo "==> tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q

@@ -46,14 +46,11 @@
 //! measurably slower than the plain entry point), 4 when
 //! `--assert-xes-ratio` found the XES decoder too far behind JSONL,
 //! 5 when `--assert-checkpoint-ratio` found checkpointing too far
-//! above the plain follow pipeline, 6 when the disabled-registry
-//! overhead guard tripped (a session explicitly carrying
-//! `Registry::disabled()` measurably slower than the plain entry
-//! point), 7 when `--assert-columnar-ratio` found the columnar miner
-//! slower than the legacy layout.
+//! above the plain follow pipeline, 7 when `--assert-columnar-ratio`
+//! found the columnar miner slower than the legacy layout.
 
 use procmine_bench::perf::{
-    compare, max_stage_ratio, normalize, summarize, Cell, RegistryOverhead, Report, TraceOverhead,
+    compare, max_stage_ratio, normalize, summarize, Cell, Report, TraceOverhead,
 };
 use procmine_bench::synthetic_workload;
 use procmine_core::conformance::check_conformance;
@@ -61,7 +58,7 @@ use procmine_core::reference::mine_general_reference;
 use procmine_core::{
     mine_auto, mine_cyclic, mine_general_dag, mine_general_dag_in, mine_general_dag_parallel,
     FollowCheckpoint, IncrementalMiner, MineSession, MinerOptions, OnlineMiner, OptionsFingerprint,
-    Registry, SnapshotPolicy, SourceState, DEFAULT_CHECKPOINT_EVERY,
+    SnapshotPolicy, SourceState, DEFAULT_CHECKPOINT_EVERY,
 };
 use procmine_graph::reduction::{
     transitive_reduction_matrix, transitive_reduction_matrix_parallel_budgeted,
@@ -78,12 +75,6 @@ use std::time::Instant;
 /// miners run through a default session, so today's expected ratio is
 /// ~1.0; the guard exists to catch future divergence.
 const TRACE_OVERHEAD_LIMIT: f64 = 1.5;
-
-/// Ratio above which a disabled metrics registry counts as "not free".
-/// Same contract as the tracer guard: a disabled [`Registry`] never
-/// reads the clock and every recording path is a single branch, so a
-/// session carrying one must track the plain entry point.
-const REGISTRY_OVERHEAD_LIMIT: f64 = 1.5;
 
 /// Thread count for the parallel micro cells and `mine.parallel4`.
 const MICRO_THREADS: usize = 4;
@@ -511,20 +502,26 @@ fn micro_cells(smoke: bool, repeats: usize, cells: &mut Vec<Cell>) {
 
 /// Measures the disabled-tracer overhead: the plain general miner
 /// against `mine_general_dag_in` with a default session (null sink,
-/// no-op tracer), interleaved so drift hits both arms equally.
+/// no-op tracer, disabled registry). The arms are interleaved so drift
+/// hits both equally, and the arm that runs first alternates per repeat
+/// so neither one always pays for a cold cache.
 fn trace_overhead(log: &WorkflowLog, repeats: usize) -> TraceOverhead {
     let options = MinerOptions::default();
     let mut plain = Vec::with_capacity(repeats);
     let mut traced = Vec::with_capacity(repeats);
     mine_general_dag(log, &options).expect("mining succeeds"); // warmup
-    for _ in 0..repeats {
-        let started = Instant::now();
-        mine_general_dag(log, &options).expect("mining succeeds");
-        plain.push(started.elapsed().as_nanos() as u64);
-
-        let started = Instant::now();
-        mine_general_dag_in(&mut MineSession::new(), log, &options).expect("mining succeeds");
-        traced.push(started.elapsed().as_nanos() as u64);
+    for repeat in 0..repeats {
+        for arm in [repeat % 2, 1 - repeat % 2] {
+            let started = Instant::now();
+            if arm == 0 {
+                mine_general_dag(log, &options).expect("mining succeeds");
+                plain.push(started.elapsed().as_nanos() as u64);
+            } else {
+                mine_general_dag_in(&mut MineSession::new(), log, &options)
+                    .expect("mining succeeds");
+                traced.push(started.elapsed().as_nanos() as u64);
+            }
+        }
     }
     let plain_cell = summarize("overhead", "plain", plain);
     let traced_cell = summarize("overhead", "traced", traced);
@@ -532,40 +529,6 @@ fn trace_overhead(log: &WorkflowLog, repeats: usize) -> TraceOverhead {
         plain_median_ns: plain_cell.median_ns,
         traced_disabled_median_ns: traced_cell.median_ns,
         ratio: traced_cell.median_ns as f64 / plain_cell.median_ns.max(1) as f64,
-    }
-}
-
-/// Measures the disabled-registry overhead: the plain general miner
-/// against `mine_general_dag_in` with a session explicitly carrying
-/// `Registry::disabled()`, interleaved so drift hits both arms equally.
-/// Every stage boundary consults the registry (`Registry::start`), so
-/// a disabled handle that started reading the clock — or grew a lookup
-/// on the record path — shows up here.
-fn registry_overhead(log: &WorkflowLog, repeats: usize) -> RegistryOverhead {
-    let options = MinerOptions::default();
-    let mut plain = Vec::with_capacity(repeats);
-    let mut metered = Vec::with_capacity(repeats);
-    mine_general_dag(log, &options).expect("mining succeeds"); // warmup
-    for _ in 0..repeats {
-        let started = Instant::now();
-        mine_general_dag(log, &options).expect("mining succeeds");
-        plain.push(started.elapsed().as_nanos() as u64);
-
-        let started = Instant::now();
-        mine_general_dag_in(
-            &mut MineSession::new().with_obs(Registry::disabled()),
-            log,
-            &options,
-        )
-        .expect("mining succeeds");
-        metered.push(started.elapsed().as_nanos() as u64);
-    }
-    let plain_cell = summarize("overhead", "plain", plain);
-    let metered_cell = summarize("overhead", "registry_disabled", metered);
-    RegistryOverhead {
-        plain_median_ns: plain_cell.median_ns,
-        registry_disabled_median_ns: metered_cell.median_ns,
-        ratio: metered_cell.median_ns as f64 / plain_cell.median_ns.max(1) as f64,
     }
 }
 
@@ -684,17 +647,12 @@ fn run() -> Result<ExitCode, String> {
     let overhead = overhead_log
         .as_ref()
         .map(|log| trace_overhead(log, args.repeats.max(5)));
-    eprintln!("perfsuite: registry-overhead guard");
-    let reg_overhead = overhead_log
-        .as_ref()
-        .map(|log| registry_overhead(log, args.repeats.max(5)));
 
     let report = Report {
         mode: if args.smoke { "smoke" } else { "full" }.to_string(),
         repeats: args.repeats,
         cells,
         trace_overhead: overhead.clone(),
-        registry_overhead: reg_overhead.clone(),
     };
     fs::write(&args.out, report.to_json()).map_err(|e| format!("{}: {e}", args.out))?;
     eprintln!("wrote {} ({} cells)", args.out, report.cells.len());
@@ -713,21 +671,6 @@ fn run() -> Result<ExitCode, String> {
                 (TRACE_OVERHEAD_LIMIT - 1.0) * 100.0
             );
             status = ExitCode::from(3);
-        }
-    }
-
-    if let Some(r) = &reg_overhead {
-        eprintln!(
-            "registry overhead: plain {}ns vs disabled-registry {}ns (ratio {:.3})",
-            r.plain_median_ns, r.registry_disabled_median_ns, r.ratio
-        );
-        if r.ratio > REGISTRY_OVERHEAD_LIMIT {
-            eprintln!(
-                "FAIL: disabled metrics registry costs {:.0}% (limit {:.0}%)",
-                (r.ratio - 1.0) * 100.0,
-                (REGISTRY_OVERHEAD_LIMIT - 1.0) * 100.0
-            );
-            status = ExitCode::from(6);
         }
     }
 

@@ -47,20 +47,6 @@ pub struct TraceOverhead {
     pub ratio: f64,
 }
 
-/// The disabled-registry overhead guard: the plain entry point against
-/// a session explicitly carrying `Registry::disabled()`, same workload
-/// — the metrics twin of [`TraceOverhead`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct RegistryOverhead {
-    /// Median of the plain (un-metered) mining calls.
-    pub plain_median_ns: u64,
-    /// Median of the session calls with `Registry::disabled()`.
-    pub registry_disabled_median_ns: u64,
-    /// `registry_disabled / plain`; ~1.0 when the disabled registry is
-    /// free.
-    pub ratio: f64,
-}
-
 /// A full perfsuite report.
 #[derive(Debug, Clone)]
 pub struct Report {
@@ -72,8 +58,6 @@ pub struct Report {
     pub cells: Vec<Cell>,
     /// The disabled-tracer overhead guard, when measured.
     pub trace_overhead: Option<TraceOverhead>,
-    /// The disabled-registry overhead guard, when measured.
-    pub registry_overhead: Option<RegistryOverhead>,
 }
 
 /// Nearest-rank percentile of an ascending-sorted slice.
@@ -147,13 +131,6 @@ impl Report {
                 ",\n  \"trace_overhead\": {{\"plain_median_ns\": {}, \
                  \"traced_disabled_median_ns\": {}, \"ratio\": {:.4}}}",
                 t.plain_median_ns, t.traced_disabled_median_ns, t.ratio
-            ));
-        }
-        if let Some(r) = &self.registry_overhead {
-            out.push_str(&format!(
-                ",\n  \"registry_overhead\": {{\"plain_median_ns\": {}, \
-                 \"registry_disabled_median_ns\": {}, \"ratio\": {:.4}}}",
-                r.plain_median_ns, r.registry_disabled_median_ns, r.ratio
             ));
         }
         out.push_str("\n}\n");
@@ -237,35 +214,11 @@ impl Report {
                 })
             }
         };
-        let registry_overhead = match value.get("registry_overhead") {
-            None => None,
-            Some(r) => {
-                let plain = r
-                    .get("plain_median_ns")
-                    .and_then(Value::as_u64)
-                    .ok_or("registry_overhead: missing `plain_median_ns`")?;
-                let metered = r
-                    .get("registry_disabled_median_ns")
-                    .and_then(Value::as_u64)
-                    .ok_or("registry_overhead: missing `registry_disabled_median_ns`")?;
-                let ratio = match r.get("ratio") {
-                    Some(Value::F64(v)) => *v,
-                    Some(v) => v.as_u64().ok_or("registry_overhead: bad `ratio`")? as f64,
-                    None => return Err("registry_overhead: missing `ratio`".to_string()),
-                };
-                Some(RegistryOverhead {
-                    plain_median_ns: plain,
-                    registry_disabled_median_ns: metered,
-                    ratio,
-                })
-            }
-        };
         Ok(Report {
             mode,
             repeats,
             cells,
             trace_overhead,
-            registry_overhead,
         })
     }
 }
@@ -432,11 +385,6 @@ mod tests {
                 traced_disabled_median_ns: 1_010,
                 ratio: 1.01,
             }),
-            registry_overhead: Some(RegistryOverhead {
-                plain_median_ns: 1_000,
-                registry_disabled_median_ns: 1_020,
-                ratio: 1.02,
-            }),
         };
         let json = report.to_json();
         let back = Report::from_json(&json).expect("round trip");
@@ -446,28 +394,22 @@ mod tests {
         let t = back.trace_overhead.expect("overhead present");
         assert_eq!(t.plain_median_ns, 1_000);
         assert!((t.ratio - 1.01).abs() < 1e-6);
-        let r = back.registry_overhead.expect("registry overhead present");
-        assert_eq!(r.registry_disabled_median_ns, 1_020);
-        assert!((r.ratio - 1.02).abs() < 1e-6);
     }
 
     #[test]
     fn report_without_overhead_guards_round_trips() {
-        // Older reports (and guard-less runs) carry neither overhead
-        // block; both must stay optional on read and absent on write.
+        // Older reports (and guard-less runs) carry no overhead block;
+        // it must stay optional on read and absent on write.
         let report = Report {
             mode: "full".to_string(),
             repeats: 5,
             cells: vec![cell("rw10", "mine.general", 1_000)],
             trace_overhead: None,
-            registry_overhead: None,
         };
         let json = report.to_json();
         assert!(!json.contains("trace_overhead"));
-        assert!(!json.contains("registry_overhead"));
         let back = Report::from_json(&json).expect("round trip");
         assert!(back.trace_overhead.is_none());
-        assert!(back.registry_overhead.is_none());
     }
 
     #[test]
@@ -506,7 +448,6 @@ mod tests {
             repeats: 3,
             cells: vec![c, cell("micro", "scc", 100)],
             trace_overhead: None,
-            registry_overhead: None,
         };
         let back = Report::from_json(&report.to_json()).expect("round trip");
         assert_eq!(back.cells[0].ratio_vs_general, Some(0.25));

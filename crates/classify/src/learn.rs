@@ -2,10 +2,9 @@
 
 use crate::telemetry::ClassifyMetrics;
 use crate::{edge_training_set, rules_of, Dataset, DecisionTree, Rule, TreeConfig};
-use procmine_core::{MetricsSink, MineSession, MinedModel};
+use procmine_core::{Histogram, MetricsSink, MineSession, MinedModel, StageClock};
 use procmine_log::ActivityId;
 use procmine_log::WorkflowLog;
-use std::time::Instant;
 
 /// The learned condition for one edge of a mined model.
 #[derive(Debug, Clone)]
@@ -63,8 +62,13 @@ pub fn learn_edge_conditions_in<S: MetricsSink<ClassifyMetrics>>(
     cfg: &TreeConfig,
 ) -> Vec<LearnedCondition> {
     let (sink, tracer) = session.handles();
-    let _root = tracer.span_cat("learn_conditions", "classify");
-    let started = S::ENABLED.then(Instant::now);
+    let clock = StageClock::start(
+        tracer,
+        "learn_conditions",
+        "classify",
+        Histogram::default(),
+        S::ENABLED,
+    );
     let mut out = Vec::with_capacity(model.edge_count());
     for (u, v) in model.graph().edges() {
         let ua = ActivityId::from_index(u.index());
@@ -118,8 +122,7 @@ pub fn learn_edge_conditions_in<S: MetricsSink<ClassifyMetrics>>(
             }
         }
     }
-    if let Some(s) = started {
-        let nanos = s.elapsed().as_nanos() as u64;
+    if let Some(nanos) = clock.stop() {
         sink.record(|m| m.learn_nanos += nanos);
     }
     out
@@ -201,6 +204,28 @@ mod tests {
         assert_eq!(metrics.rows_extracted, rows);
         assert!(metrics.splits_evaluated > 0);
         assert!(metrics.learn_nanos > 0);
+    }
+
+    #[test]
+    fn learn_timer_equals_its_span() {
+        let model = presets::order_fulfillment();
+        let mut rng = StdRng::seed_from_u64(11);
+        let log = engine::generate_log(&model, 100, &mut rng).unwrap();
+        let mined = mine_general_dag(&log, &MinerOptions::default()).unwrap();
+        let mut metrics = ClassifyMetrics::new();
+        let tracer = procmine_core::Tracer::new();
+        let mut session = MineSession::new()
+            .with_tracer(tracer.clone())
+            .with_sink(&mut metrics);
+        learn_edge_conditions_in(&mut session, &mined, &log, &TreeConfig::default());
+        drop(session);
+        let records = tracer.records();
+        assert_eq!(records.len(), 1);
+        assert_eq!(
+            (records[0].name, records[0].cat),
+            ("learn_conditions", "classify")
+        );
+        assert_eq!(metrics.learn_nanos, records[0].dur_ns);
     }
 
     #[test]

@@ -7,8 +7,8 @@ use crate::output::{errln, out, outln};
 use procmine_classify::{ClassifyMetrics, TreeConfig};
 use procmine_core::{
     conformance, mine_auto_in, mine_cyclic_in, mine_general_dag_in, mine_special_dag_in, Algorithm,
-    ConformanceMetrics, MetricsSink, MineSession, MinedModel, MinerMetrics, MinerOptions, Registry,
-    Tracer,
+    ConformanceMetrics, Counter, Histogram, Lane, MetricsSink, MineSession, MinedModel,
+    MinerMetrics, MinerOptions, Registry, StageClock, Tracer,
 };
 use procmine_log::codec::{CodecStats, IngestReport, RecoveryPolicy};
 use procmine_log::{codec, WorkflowLog};
@@ -260,9 +260,18 @@ fn read_log_with(
         "xes" => "ingest.xes",
         other => return Err(format!("unknown log format `{other}`").into()),
     };
-    let _span = tracer.span_cat(span_name, "codec");
     let (bytes_before, events_before) = (stats.bytes_read, stats.events_parsed);
-    let reg_started = reg.start();
+    let clock = StageClock::start(
+        tracer,
+        span_name,
+        "codec",
+        reg.histogram(
+            "procmine_ingest_duration_ns",
+            "Wall-clock time spent decoding one input log, in nanoseconds.",
+            &[("format", format)],
+        ),
+        false,
+    );
     let reader = BufReader::new(File::open(path)?);
     let log = match format {
         "flowmark" => codec::flowmark::read_log_with(reader, policy, stats, report)?,
@@ -277,6 +286,7 @@ fn read_log_with(
         "xes" => codec::xes::read_log_with(reader, policy, stats, report)?,
         other => return Err(format!("unknown log format `{other}`").into()),
     };
+    clock.stop();
     if reg.is_enabled() {
         record_ingest(
             reg,
@@ -284,12 +294,6 @@ fn read_log_with(
             stats.bytes_read - bytes_before,
             stats.events_parsed - events_before,
         );
-        reg.histogram(
-            "procmine_ingest_duration_ns",
-            "Wall-clock time spent decoding one input log, in nanoseconds.",
-            &[("format", format)],
-        )
-        .observe_since(reg_started);
     }
     Ok(log)
 }
@@ -793,6 +797,26 @@ fn save_follow_checkpoint(
     Ok(())
 }
 
+/// Runs one checkpoint save, sampling its duration into the
+/// checkpoint-write histogram and counting it.
+fn timed_save(
+    write_ns: &Histogram,
+    writes: &Counter,
+    save: impl FnOnce() -> CliResult,
+) -> CliResult {
+    let clock = StageClock::start(
+        Lane::Off,
+        "checkpoint.write",
+        "codec",
+        write_ns.clone(),
+        false,
+    );
+    save()?;
+    clock.stop();
+    writes.inc();
+    Ok(())
+}
+
 /// Live-following health state sampled into the registry right before
 /// each metrics export (cadenced and final). Totals accumulated
 /// outside the registry (evictions, tail supervision) are synced into
@@ -1093,22 +1117,19 @@ fn mine_follow(p: &Parsed) -> CliResult {
             if let Some(ck_path) = checkpoint_path {
                 events_since_save += 1;
                 if events_since_save >= cadence {
-                    let ck_started = reg.start();
-                    save_follow_checkpoint(
-                        ck_path,
-                        path,
-                        fingerprint,
-                        assembler.observer().miner,
-                        assembler.export_state(),
-                        source.position(),
-                        &base_source,
-                        &source.stats(),
-                        source.report(),
-                    )?;
-                    if ck_started.is_some() {
-                        ck_write_ns.observe_since(ck_started);
-                        ck_writes.inc();
-                    }
+                    timed_save(&ck_write_ns, &ck_writes, || {
+                        save_follow_checkpoint(
+                            ck_path,
+                            path,
+                            fingerprint,
+                            assembler.observer().miner,
+                            assembler.export_state(),
+                            source.position(),
+                            &base_source,
+                            &source.stats(),
+                            source.report(),
+                        )
+                    })?;
                     errln!("checkpoint @ byte {} -> {ck_path}", source.position().0);
                     events_since_save = 0;
                 }
@@ -1151,22 +1172,19 @@ fn mine_follow(p: &Parsed) -> CliResult {
         // assembled by the flush, so a case spanning this boundary
         // opens fresh on resume (same split the memory bound forces).
         if let Some(ck_path) = checkpoint_path {
-            let ck_started = reg.start();
-            save_follow_checkpoint(
-                ck_path,
-                path,
-                fingerprint,
-                assembler.observer().miner,
-                assembler.export_state(),
-                source.position(),
-                &base_source,
-                &source.stats(),
-                source.report(),
-            )?;
-            if ck_started.is_some() {
-                ck_write_ns.observe_since(ck_started);
-                ck_writes.inc();
-            }
+            timed_save(&ck_write_ns, &ck_writes, || {
+                save_follow_checkpoint(
+                    ck_path,
+                    path,
+                    fingerprint,
+                    assembler.observer().miner,
+                    assembler.export_state(),
+                    source.position(),
+                    &base_source,
+                    &source.stats(),
+                    source.report(),
+                )
+            })?;
             errln!(
                 "checkpoint @ {} events -> {ck_path} (end of stream)",
                 assembler.observer().miner.events_absorbed()

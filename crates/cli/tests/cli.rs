@@ -2023,3 +2023,166 @@ fn metrics_flag_validation() {
     let out = procmine(&["report"]);
     assert!(!out.status.success());
 }
+
+fn read_json(path: &std::path::Path) -> serde_json::Value {
+    serde_json::from_str(&std::fs::read_to_string(path).unwrap()).unwrap()
+}
+
+/// The complete (`"ph":"X"`) events of a Chrome trace as
+/// `(name, tid, dur_ns)`. The trace writes microseconds with three
+/// decimals, so rounding back to nanoseconds is exact.
+fn trace_spans(path: &std::path::Path) -> Vec<(String, u64, u64)> {
+    let json = read_json(path);
+    let Some(serde_json::Value::Seq(events)) = json.get("traceEvents") else {
+        panic!("traceEvents missing");
+    };
+    events
+        .iter()
+        .filter(|e| matches!(e.get("ph"), Some(serde_json::Value::Str(p)) if p == "X"))
+        .map(|e| {
+            let Some(serde_json::Value::Str(name)) = e.get("name") else {
+                panic!("span without a name: {e:?}");
+            };
+            let dur_us = match e.get("dur") {
+                Some(serde_json::Value::F64(x)) => *x,
+                Some(serde_json::Value::U64(n)) => *n as f64,
+                other => panic!("bad dur {other:?}"),
+            };
+            let tid = e.get("tid").and_then(serde_json::Value::as_u64).unwrap();
+            (name.clone(), tid, (dur_us * 1000.0).round() as u64)
+        })
+        .collect()
+}
+
+fn span_sum(spans: &[(String, u64, u64)], name: &str, main_lane: bool) -> u64 {
+    spans
+        .iter()
+        .filter(|(n, tid, _)| n == name && (*tid == 0) == main_lane)
+        .map(|(_, _, dur)| dur)
+        .sum()
+}
+
+#[test]
+fn stats_trace_and_metrics_report_the_same_stage_intervals() {
+    let dir = tmpdir("one-clock");
+    let log = dir.join("log.fm");
+    let (stats, trace, metrics) = (
+        dir.join("stats.json"),
+        dir.join("trace.json"),
+        dir.join("metrics.json"),
+    );
+    generate_log(&log, "300", "19");
+    let out = procmine(&[
+        "mine",
+        log.to_str().unwrap(),
+        "--threads",
+        "2",
+        "--stats-json",
+        stats.to_str().unwrap(),
+        "--trace",
+        trace.to_str().unwrap(),
+        "--metrics",
+        metrics.to_str().unwrap(),
+    ]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stats = read_json(&stats);
+    let spans = trace_spans(&trace);
+    let metrics = read_json(&metrics);
+    let Some(serde_json::Value::Seq(families)) = metrics.get("metrics") else {
+        panic!("metrics array missing");
+    };
+    let latency = families
+        .iter()
+        .find(|f| matches!(f.get("name"), Some(serde_json::Value::Str(n)) if n == "procmine_stage_latency_ns"))
+        .expect("stage latency family");
+    let Some(serde_json::Value::Seq(series)) = latency.get("series") else {
+        panic!("series missing");
+    };
+    let hist_sum = |stage: &str| -> u64 {
+        series
+            .iter()
+            .find(|s| {
+                s.get("labels").and_then(|l| l.get("stage"))
+                    == Some(&serde_json::Value::Str(stage.to_string()))
+            })
+            .map_or(0, |s| {
+                s.get("sum").and_then(serde_json::Value::as_u64).unwrap()
+            })
+    };
+    let timer = |section: &str, stage: &str| -> u64 {
+        stats
+            .get(section)
+            .and_then(|s| s.get(stage))
+            .and_then(serde_json::Value::as_u64)
+            .unwrap()
+    };
+    let stages = [
+        ("lower", "lower"),
+        ("count_pairs", "count_pairs"),
+        ("prune", "prune"),
+        ("scc_removal", "scc_removal"),
+        ("reduce", "transitive_reduction"),
+        ("assemble", "assemble"),
+    ];
+    for (key, span) in stages {
+        let main = span_sum(&spans, span, true);
+        let workers = span_sum(&spans, &format!("{span}.worker"), false);
+        assert!(main > 0, "stage `{key}` has no span");
+        assert_eq!(hist_sum(key), main, "`{key}`: histogram vs trace");
+        if matches!(key, "count_pairs" | "reduce") {
+            assert_eq!(timer("stages_wall_ns", key), main, "`{key}`: wall vs trace");
+            assert_eq!(
+                timer("stages_ns", key),
+                workers,
+                "`{key}`: workers vs trace"
+            );
+        } else {
+            assert_eq!(
+                timer("stages_ns", key),
+                main,
+                "`{key}`: stage timer vs trace"
+            );
+            assert_eq!(timer("stages_wall_ns", key), 0, "`{key}` is serial");
+            assert_eq!(workers, 0, "`{key}` is serial");
+        }
+    }
+
+    // Conformance: each timer is its span's interval.
+    let model = dir.join("model.json");
+    let (check_stats, check_trace) = (dir.join("check-stats.json"), dir.join("check-trace.json"));
+    let out = procmine(&[
+        "mine",
+        log.to_str().unwrap(),
+        "--json",
+        model.to_str().unwrap(),
+    ]);
+    assert!(out.status.success());
+    let out = procmine(&[
+        "check",
+        model.to_str().unwrap(),
+        log.to_str().unwrap(),
+        "--stats-json",
+        check_stats.to_str().unwrap(),
+        "--trace",
+        check_trace.to_str().unwrap(),
+    ]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let check_stats = read_json(&check_stats);
+    let spans = trace_spans(&check_trace);
+    for name in ["closure", "scc", "execution_checks"] {
+        let timer = check_stats
+            .get("timers_ns")
+            .and_then(|t| t.get(name))
+            .and_then(serde_json::Value::as_u64)
+            .unwrap();
+        assert_eq!(timer, span_sum(&spans, name, true), "conformance `{name}`");
+    }
+}

@@ -27,14 +27,16 @@
 //! its [`ConformanceMetrics`](crate::telemetry::ConformanceMetrics)
 //! sink.
 
+use crate::clock::StageClock;
 use crate::follows::FollowsAnalysis;
+use crate::obs::Histogram;
 use crate::session::MineSession;
 use crate::telemetry::{ConformanceMetrics, MetricsSink};
+use crate::trace::{Lane, Tracer};
 use crate::MinedModel;
 use procmine_graph::{reach, scc, NodeId};
 use procmine_log::{ActivityId, ActivityInstance, Execution, WorkflowLog};
 use std::collections::HashMap;
-use std::time::Instant;
 
 /// One way an execution can fail Definition 6 against a model.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -97,28 +99,47 @@ pub fn check_execution_in<S: MetricsSink<ConformanceMetrics>>(
     exec: &Execution,
 ) -> Vec<Violation> {
     let (sink, _) = session.handles();
-    let started = S::ENABLED.then(Instant::now);
+    let clock = StageClock::start(
+        Lane::Off,
+        "execution_check",
+        "conformance",
+        Histogram::default(),
+        S::ENABLED,
+    );
     let violations = check_execution_impl(model, exec);
-    record_execution_check(sink, &violations, elapsed_nanos(started));
+    record_execution_check(sink, &violations);
+    if let Some(nanos) = clock.stop() {
+        sink.record(|m| m.check_nanos += nanos);
+    }
     violations
 }
 
-fn elapsed_nanos(started: Option<Instant>) -> u64 {
-    started.map_or(0, |s| s.elapsed().as_nanos() as u64)
+/// Starts the clock of one `conformance` phase: its span on the
+/// session's main lane, its duration for a [`ConformanceMetrics`]
+/// timer.
+fn phase_clock<'t, S: MetricsSink<ConformanceMetrics>>(
+    tracer: &'t Tracer,
+    name: &'static str,
+) -> StageClock<'t> {
+    StageClock::start(
+        tracer,
+        name,
+        "conformance",
+        Histogram::default(),
+        S::ENABLED,
+    )
 }
 
 /// Tallies one checked execution's violations into the sink.
 fn record_execution_check<S: MetricsSink<ConformanceMetrics>>(
     sink: &mut S,
     violations: &[Violation],
-    nanos: u64,
 ) {
     if !S::ENABLED {
         return;
     }
     sink.record(|m| {
         m.executions_checked += 1;
-        m.check_nanos += nanos;
         if violations.is_empty() {
             m.consistent_executions += 1;
         }
@@ -429,22 +450,16 @@ pub fn check_conformance_in<S: MetricsSink<ConformanceMetrics>>(
         }
     }
 
-    let closure_span = tracer.span_cat("closure", "conformance");
-    let started = S::ENABLED.then(Instant::now);
+    let clock = phase_clock::<S>(tracer, "closure");
     let closure = reach::transitive_closure(g);
-    if let Some(s) = started {
-        let nanos = s.elapsed().as_nanos() as u64;
+    if let Some(nanos) = clock.stop() {
         sink.record(|m| m.closure_nanos += nanos);
     }
-    drop(closure_span);
-    let scc_span = tracer.span_cat("scc", "conformance");
-    let started = S::ENABLED.then(Instant::now);
+    let clock = phase_clock::<S>(tracer, "scc");
     let sccs = scc::tarjan_scc(g);
-    if let Some(s) = started {
-        let nanos = s.elapsed().as_nanos() as u64;
+    if let Some(nanos) = clock.stop() {
         sink.record(|m| m.scc_nanos += nanos);
     }
-    drop(scc_span);
 
     let deps_span = tracer.span_cat("dependency_checks", "conformance");
     for u in 0..n_log {
@@ -481,24 +496,22 @@ pub fn check_conformance_in<S: MetricsSink<ConformanceMetrics>>(
     }
     drop(deps_span);
 
-    let _exec_span = tracer.span_cat("execution_checks", "conformance");
+    let clock = phase_clock::<S>(tracer, "execution_checks");
     for exec in log.executions() {
         let violations = if identity {
-            let started = S::ENABLED.then(Instant::now);
-            let violations = check_execution_impl(model, exec);
-            record_execution_check(sink, &violations, elapsed_nanos(started));
-            violations
+            check_execution_impl(model, exec)
         } else {
-            let started = S::ENABLED.then(Instant::now);
-            let violations = check_foreign_execution(model, exec, &map, log_names);
-            record_execution_check(sink, &violations, elapsed_nanos(started));
-            violations
+            check_foreign_execution(model, exec, &map, log_names)
         };
+        record_execution_check(sink, &violations);
         if !violations.is_empty() {
             report
                 .inconsistent_executions
                 .push((exec.id.clone(), violations));
         }
+    }
+    if let Some(nanos) = clock.stop() {
+        sink.record(|m| m.check_nanos += nanos);
     }
 
     if S::ENABLED {

@@ -66,43 +66,42 @@ pub fn mine_cyclic_in<S: MetricsSink>(
     // Instance vertex space: activity a gets `max_occ[a]` consecutive
     // vertices starting at offset[a]. Lowering the log to instance
     // vertices (steps 1–3) is one pass.
-    let (cols, activity_of, total) =
-        run_stage(Stage::Lower, deadline, sink, tracer, reg, |_, _| {
-            let mut max_occ = vec![0usize; n];
-            for exec in log.executions() {
-                deadline.check()?;
-                let mut counts = vec![0usize; n];
-                for a in exec.sequence() {
-                    counts[a.index()] += 1;
-                    max_occ[a.index()] = max_occ[a.index()].max(counts[a.index()]);
-                }
+    let (cols, activity_of, total) = run_stage(Stage::Lower, deadline, sink, tracer, reg, |_| {
+        let mut max_occ = vec![0usize; n];
+        for exec in log.executions() {
+            deadline.check()?;
+            let mut counts = vec![0usize; n];
+            for a in exec.sequence() {
+                counts[a.index()] += 1;
+                max_occ[a.index()] = max_occ[a.index()].max(counts[a.index()]);
             }
-            let mut offset = vec![0usize; n + 1];
-            for a in 0..n {
-                offset[a + 1] = offset[a] + max_occ[a];
-            }
-            let total = offset[n];
-            // Reverse map: instance vertex -> activity.
-            let mut activity_of = vec![0usize; total];
-            for a in 0..n {
-                activity_of[offset[a]..offset[a + 1]].fill(a);
-            }
+        }
+        let mut offset = vec![0usize; n + 1];
+        for a in 0..n {
+            offset[a + 1] = offset[a] + max_occ[a];
+        }
+        let total = offset[n];
+        // Reverse map: instance vertex -> activity.
+        let mut activity_of = vec![0usize; total];
+        for a in 0..n {
+            activity_of[offset[a]..offset[a + 1]].fill(a);
+        }
 
-            let events = log.executions().iter().map(|e| e.len()).sum();
-            let mut cols = EventColumns::with_capacity(log.len(), events);
-            for e in log.executions() {
-                deadline.check()?;
-                let labeled = e.labeled_sequence();
-                cols.push_exec(e.instances().iter().zip(labeled).map(|(inst, (a, occ))| {
-                    (
-                        (offset[a.index()] + occ as usize) as u32,
-                        inst.start,
-                        inst.end,
-                    )
-                }));
-            }
-            Ok((cols, activity_of, total))
-        })?;
+        let events = log.executions().iter().map(|e| e.len()).sum();
+        let mut cols = EventColumns::with_capacity(log.len(), events);
+        for e in log.executions() {
+            deadline.check()?;
+            let labeled = e.labeled_sequence();
+            cols.push_exec(e.instances().iter().zip(labeled).map(|(inst, (a, occ))| {
+                (
+                    (offset[a.index()] + occ as usize) as u32,
+                    inst.start,
+                    inst.end,
+                )
+            }));
+        }
+        Ok((cols, activity_of, total))
+    })?;
     let vlog = VertexLog {
         n: total,
         cols: &cols,
@@ -120,7 +119,7 @@ pub fn mine_cyclic_in<S: MetricsSink>(
     )?;
 
     // Step 8: merge instance vertices back into activities.
-    run_stage(Stage::Assemble, deadline, sink, tracer, reg, |sink, _| {
+    run_stage(Stage::Assemble, deadline, sink, tracer, reg, |sink| {
         let mut graph = graph_skeleton(log.activities());
         let mut support_acc = vec![0u32; n * n];
         for (x, y) in result.graph.edges() {

@@ -73,7 +73,7 @@ pub(crate) fn mine_vertex_log<S: MetricsSink>(
     let obs = if threads > 1 {
         crate::parallel::parallel_count(vlog, threads, deadline, sink, tracer, reg)?
     } else {
-        run_stage(Stage::CountPairs, deadline, sink, tracer, reg, |sink, _| {
+        run_stage(Stage::CountPairs, deadline, sink, tracer, reg, |sink| {
             count_ordered_pairs(vlog, deadline, sink)
         })?
     };
@@ -307,7 +307,7 @@ pub(crate) fn prune_graph<S: MetricsSink>(
     tracer: &Tracer,
     reg: &Registry,
 ) -> Result<AdjMatrix, MineError> {
-    let mut g = run_stage(Stage::Prune, deadline, sink, tracer, reg, |sink, _| {
+    let mut g = run_stage(Stage::Prune, deadline, sink, tracer, reg, |sink| {
         if S::ENABLED {
             let before = (0..n * n)
                 .filter(|&i| i / n != i % n && obs.ordered[i] > 0)
@@ -337,11 +337,11 @@ pub(crate) fn prune_graph<S: MetricsSink>(
         Ok(g)
     })?;
 
-    run_stage(Stage::SccRemoval, deadline, sink, tracer, reg, |sink, _| {
+    run_stage(Stage::SccRemoval, deadline, sink, tracer, reg, |sink| {
         let digraph = g.to_digraph(|_| ());
         let budget = deadline.budget();
         // The budgeted Tarjan's only failure mode is budget exhaustion.
-        let sccs = if threads > 1 && n >= crate::parallel::parallel_graph_min_vertices() {
+        let sccs = if threads > 1 && n >= crate::parallel::PARALLEL_GRAPH_MIN_VERTICES {
             scc::tarjan_scc_parallel_budgeted(&digraph, threads, &budget)
         } else {
             scc::tarjan_scc_budgeted(&digraph, &budget)
@@ -387,7 +387,7 @@ pub(crate) fn finish_from_counts<S: MetricsSink>(
     let marked = if threads > 1 {
         crate::parallel::parallel_mark(vlog, &g, threads, deadline, sink, tracer, reg)?
     } else {
-        run_stage(Stage::Reduce, deadline, sink, tracer, reg, |sink, _| {
+        run_stage(Stage::Reduce, deadline, sink, tracer, reg, |sink| {
             let mut marked = AdjMatrix::new(n);
             let mut scratch = MarkScratch::new();
             for i in 0..vlog.cols.exec_count() {
@@ -478,7 +478,7 @@ pub fn mine_general_dag_in<S: MetricsSink>(
     }
 
     let n = log.activities().len();
-    let cols = run_stage(Stage::Lower, deadline, sink, tracer, reg, |_, _| {
+    let cols = run_stage(Stage::Lower, deadline, sink, tracer, reg, |_| {
         let events = log.executions().iter().map(|e| e.len()).sum();
         let mut cols = EventColumns::with_capacity(log.len(), events);
         for e in log.executions() {
@@ -503,7 +503,7 @@ pub fn mine_general_dag_in<S: MetricsSink>(
         reg,
     )?;
 
-    run_stage(Stage::Assemble, deadline, sink, tracer, reg, |_, _| {
+    run_stage(Stage::Assemble, deadline, sink, tracer, reg, |_| {
         let mut graph = graph_skeleton(log.activities());
         let mut support = Vec::with_capacity(result.graph.edge_count());
         for (u, v) in result.graph.edges() {

@@ -273,7 +273,7 @@ impl IncrementalMiner {
             tracer,
             reg,
         )?;
-        run_stage(Stage::Assemble, deadline, sink, tracer, reg, |_, _| {
+        run_stage(Stage::Assemble, deadline, sink, tracer, reg, |_| {
             let mut graph = graph_skeleton(&self.table);
             let mut support = Vec::with_capacity(result.graph.edge_count());
             for (u, v) in result.graph.edges() {

@@ -68,6 +68,7 @@ mod special_dag;
 pub mod baseline;
 pub mod bpmn;
 pub mod checkpoint;
+pub mod clock;
 pub mod conformance;
 pub mod follows;
 pub mod metrics;
@@ -82,6 +83,7 @@ pub use checkpoint::{
     FollowCheckpoint, MinerState, OnlineMinerState, OptionsFingerprint, SourceState,
     DEFAULT_CHECKPOINT_EVERY,
 };
+pub use clock::StageClock;
 pub use cyclic::{mine_cyclic, mine_cyclic_in};
 pub use error::MineError;
 pub use general_dag::{mine_general_dag, mine_general_dag_in};
@@ -94,5 +96,5 @@ pub use online::{OnlineMiner, SnapshotPolicy};
 pub use parallel::mine_general_dag_parallel;
 pub use session::MineSession;
 pub use special_dag::{mine_special_dag, mine_special_dag_in};
-pub use telemetry::{ConformanceMetrics, MetricsSink, MinerMetrics, NullSink, Stage, WallStage};
-pub use trace::{SpanGuard, SpanRecord, TraceBuffer, Tracer};
+pub use telemetry::{ConformanceMetrics, MetricsSink, MinerMetrics, NullSink, Stage};
+pub use trace::{Lane, SpanGuard, SpanRecord, TraceBuffer, Tracer};

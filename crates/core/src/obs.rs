@@ -15,8 +15,10 @@
 //!   `Option<Arc<…>>` — [`Registry::disabled`] (the
 //!   [`MineSession`](crate::MineSession) default) carries `None`, and
 //!   every recording path through a disabled registry is a single
-//!   branch that **never reads the clock** ([`Registry::start`]
-//!   returns `None`, so no `Instant::now` happens);
+//!   branch that **never reads the clock** (durations are measured by
+//!   a [`StageClock`](crate::StageClock), which reads the clock only
+//!   when one of its views is enabled, and a histogram from a disabled
+//!   registry is not one);
 //! * recording through an enabled handle is **lock-free**: counters,
 //!   gauges, and histogram bucket cells are plain relaxed atomics, so
 //!   the parallel kernels' workers can share one registry without a
@@ -57,7 +59,6 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
-use std::time::Instant;
 
 use crate::telemetry::Stage;
 use crate::trace::escape;
@@ -272,13 +273,6 @@ impl Registry {
     /// Whether this handle records anything.
     pub fn is_enabled(&self) -> bool {
         self.shared.is_some()
-    }
-
-    /// Reads the clock — only if enabled. Pair with
-    /// [`Histogram::observe_since`] for the timer idiom that keeps the
-    /// disabled path clock-free.
-    pub fn start(&self) -> Option<Instant> {
-        self.is_enabled().then(Instant::now)
     }
 
     /// Acquires (registering on first use) the cell for one series.
@@ -620,15 +614,6 @@ impl Histogram {
         }
     }
 
-    /// Records the nanoseconds elapsed since `started` (from
-    /// [`Registry::start`]); a no-op — with no clock read — when the
-    /// timer never started.
-    pub fn observe_since(&self, started: Option<Instant>) {
-        if let (Some(cells), Some(started)) = (&self.cells, started) {
-            cells.observe(started.elapsed().as_nanos() as u64);
-        }
-    }
-
     /// A point-in-time copy ([`HistogramSnapshot::empty`] when inert).
     pub fn snapshot(&self) -> HistogramSnapshot {
         self.cells
@@ -740,7 +725,6 @@ mod tests {
     fn disabled_registry_is_inert_and_clock_free() {
         let reg = Registry::disabled();
         assert!(!reg.is_enabled());
-        assert!(reg.start().is_none(), "no clock read when disabled");
         let c = reg.counter("c_total", "h", &[]);
         c.inc();
         assert_eq!(c.value(), 0);
@@ -749,7 +733,10 @@ mod tests {
         assert_eq!(g.value(), 0.0);
         let h = reg.histogram("h_ns", "h", &[]);
         h.observe(7);
-        h.observe_since(reg.start());
+        assert!(
+            !h.is_enabled(),
+            "inert, so a StageClock sampling it reads no clock"
+        );
         assert_eq!(h.snapshot().count, 0);
         assert_eq!(reg.render_prometheus(), "");
         assert_eq!(
@@ -856,10 +843,10 @@ procmine_h_ns_count{stage=\"prune\"} 2
     fn timer_idiom_records_elapsed_nanos() {
         let reg = Registry::new();
         let h = reg.stage_latency(Stage::CountPairs);
-        let started = reg.start();
-        assert!(started.is_some());
+        let clock =
+            crate::StageClock::start(crate::Lane::Off, "count_pairs", "miner", h.clone(), false);
         std::thread::sleep(std::time::Duration::from_millis(1));
-        h.observe_since(started);
+        assert!(clock.stop().is_some());
         let snap = h.snapshot();
         assert_eq!(snap.count, 1);
         assert!(snap.sum >= 1_000_000, "expected >= 1ms, got {}ns", snap.sum);

@@ -20,64 +20,26 @@
 //! speedup is near-linear in cores (see the `parallel_scaling` bench
 //! binary).
 
+use crate::clock::StageClock;
 use crate::general_dag::{
     count_one_execution, mark_one_execution, pair_observations_range, record_arena_telemetry,
     MarkScratch, OrderObservations, VertexLog,
 };
 use crate::limits::Deadline;
-use crate::obs::Registry;
-use crate::session::MineSession;
-use crate::telemetry::{stage_end, stage_start, MetricsSink, MinerMetrics, Stage, WallStage};
+use crate::obs::{Histogram, Registry};
+use crate::session::{run_barrier, MineSession};
+use crate::telemetry::{MetricsSink, MinerMetrics, Stage};
 use crate::trace::Tracer;
 use crate::{MineError, MinedModel, MinerOptions};
-use procmine_graph::AdjMatrix;
+use procmine_graph::{AdjMatrix, ArenaStats};
 use procmine_log::WorkflowLog;
+use std::ops::Range;
 
 /// Vertex count below which the graph-level parallel algorithms
 /// (per-component SCC, row-parallel transitive reduction) are not worth
 /// their spawn overhead; smaller graphs keep the serial bodies even in
-/// a multi-threaded session. Overridable at run time through the
-/// `PROCMINE_PARALLEL_MIN_VERTICES` environment variable (see
-/// [`parallel_graph_min_vertices`]), so the threshold can be tuned
-/// against real workloads without a rebuild.
+/// a multi-threaded session.
 pub(crate) const PARALLEL_GRAPH_MIN_VERTICES: usize = 256;
-
-/// The effective graph-parallelism threshold: the
-/// `PROCMINE_PARALLEL_MIN_VERTICES` override when set and valid (a
-/// positive integer), [`PARALLEL_GRAPH_MIN_VERTICES`] otherwise. Read
-/// once per process; an invalid value warns on stderr and keeps the
-/// default rather than silently changing strategy.
-pub(crate) fn parallel_graph_min_vertices() -> usize {
-    static THRESHOLD: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *THRESHOLD.get_or_init(|| {
-        let raw = std::env::var("PROCMINE_PARALLEL_MIN_VERTICES").ok();
-        match parse_threshold_override(raw.as_deref(), PARALLEL_GRAPH_MIN_VERTICES) {
-            Ok(v) => v,
-            Err(bad) => {
-                eprintln!(
-                    "warning: ignoring PROCMINE_PARALLEL_MIN_VERTICES=`{bad}` \
-                     (expected a positive integer); using {PARALLEL_GRAPH_MIN_VERTICES}"
-                );
-                PARALLEL_GRAPH_MIN_VERTICES
-            }
-        }
-    })
-}
-
-/// Validates one threshold override: `None` keeps the default, a
-/// positive integer replaces it, anything else is returned as the
-/// offending string. Pure, so tests cover the validation without
-/// mutating process environment (env reads race across parallel
-/// tests).
-pub(crate) fn parse_threshold_override(raw: Option<&str>, default: usize) -> Result<usize, String> {
-    match raw {
-        None => Ok(default),
-        Some(s) => match s.trim().parse::<usize>() {
-            Ok(v) if v > 0 => Ok(v),
-            _ => Err(s.to_string()),
-        },
-    }
-}
 
 /// Parallel Algorithm 2: identical output to
 /// [`mine_general_dag`](crate::mine_general_dag), with the heavy stages
@@ -97,43 +59,77 @@ pub fn mine_general_dag_parallel(
     )
 }
 
-/// Merges per-worker results at a join barrier: every handle is joined
-/// even after an error so no worker outlives the scope; a worker panic
-/// is re-raised as-is, and the first worker error wins.
-fn join_workers<'scope, T, S: MetricsSink>(
-    handles: Vec<std::thread::ScopedJoinHandle<'scope, Result<(T, MinerMetrics), MineError>>>,
+/// The fan-out/join shared by the parallel stages: splits the `execs`
+/// executions into one contiguous chunk per thread and runs `work` on
+/// each chunk in a scoped thread. Each worker fills its own
+/// [`MinerMetrics`] (the sink never crosses a thread boundary) and
+/// times itself with a [`StageClock`] whose span `worker_span` lands on
+/// a private trace lane ([`Tracer::worker`], flushed when the worker
+/// ends) and whose duration is credited to `stage`'s timer. At the join
+/// every handle is joined even after an error, so no worker outlives
+/// the scope; each result goes to `fold`, each worker's metrics merge
+/// into `sink`, a worker panic is re-raised as-is, and the first worker
+/// error wins.
+#[allow(clippy::too_many_arguments)]
+fn fan_out<S: MetricsSink, T: Send>(
+    stage: Stage,
+    worker_span: &'static str,
+    execs: usize,
+    threads: usize,
     sink: &mut S,
+    tracer: &Tracer,
+    work: impl Fn(Range<usize>, &mut MinerMetrics) -> Result<T, MineError> + Sync,
     mut fold: impl FnMut(T),
 ) -> Result<(), MineError> {
-    let mut first_err = None;
-    for h in handles {
-        let (local, lm) = match h.join() {
-            Err(payload) => std::panic::resume_unwind(payload),
-            Ok(Err(e)) => {
-                first_err.get_or_insert(e);
-                continue;
+    let chunk = execs.div_ceil(threads).max(1);
+    let work = &work;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..execs)
+            .step_by(chunk)
+            .map(|lo| {
+                let range = lo..(lo + chunk).min(execs);
+                scope.spawn(move || -> Result<(T, MinerMetrics), MineError> {
+                    let buf = tracer.worker();
+                    let clock = StageClock::start(
+                        &buf,
+                        worker_span,
+                        "miner",
+                        Histogram::default(),
+                        S::ENABLED,
+                    );
+                    let mut lm = MinerMetrics::new();
+                    let out = work(range, &mut lm)?;
+                    if let Some(nanos) = clock.stop() {
+                        lm.add_stage_nanos(stage, nanos);
+                    }
+                    Ok((out, lm))
+                })
+            })
+            .collect();
+        let mut first_err = None;
+        for h in handles {
+            match h.join() {
+                Err(payload) => std::panic::resume_unwind(payload),
+                Ok(Err(e)) => {
+                    first_err.get_or_insert(e);
+                }
+                Ok(Ok((out, lm))) => {
+                    fold(out);
+                    if S::ENABLED {
+                        sink.record(|m| m.merge(&lm));
+                    }
+                }
             }
-            Ok(Ok(parts)) => parts,
-        };
-        fold(local);
-        if S::ENABLED {
-            sink.record(|m| m.merge(&lm));
         }
-    }
-    match first_err {
-        Some(e) => Err(e),
-        None => Ok(()),
-    }
+        first_err.map_or(Ok(()), Err)
+    })
 }
 
 /// The parallel [`Stage::CountPairs`] strategy: per-thread count
 /// matrices built by the serial [`count_one_execution`] body, merged by
-/// addition at the join barrier. Each worker accumulates its own
-/// [`MinerMetrics`] (the sink itself never crosses a thread boundary)
-/// and records its span into a private per-thread trace buffer (its own
-/// lane — see [`Tracer::worker`]), flushed at the join. A [`WallStage`]
-/// timer around the barrier records elapsed wall time, so CPU-ns /
-/// wall-ns per stage is the parallel efficiency.
+/// addition at the join barrier (see [`fan_out`]). The barrier's own
+/// interval is the stage's wall time, so the stage timer over the wall
+/// timer is the parallel efficiency.
 pub(crate) fn parallel_count<S: MetricsSink>(
     vlog: &VertexLog<'_>,
     threads: usize,
@@ -142,54 +138,40 @@ pub(crate) fn parallel_count<S: MetricsSink>(
     tracer: &Tracer,
     reg: &Registry,
 ) -> Result<OrderObservations, MineError> {
-    let _span = tracer.span_cat(Stage::CountPairs.span_name(), "miner");
-    deadline.check()?;
-    let reg_started = reg.start();
     let vlog = *vlog;
     let n = vlog.n;
-    let m_execs = vlog.cols.exec_count();
-    let chunk = m_execs.div_ceil(threads).max(1);
-    let wall = WallStage::start::<S>(Stage::CountPairs);
-    let mut total = OrderObservations::new(n);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..m_execs)
-            .step_by(chunk)
-            .map(|lo| {
-                let hi = (lo + chunk).min(m_execs);
-                scope.spawn(
-                    move || -> Result<(OrderObservations, MinerMetrics), MineError> {
-                        let buf = tracer.worker();
-                        let _span = buf.span_cat("count_pairs.worker", "miner");
-                        let started = stage_start::<S>();
-                        let mut local = OrderObservations::new(n);
-                        for i in lo..hi {
-                            deadline.check()?;
-                            count_one_execution(n, vlog.cols.exec(i), &mut local);
-                        }
-                        let mut lm = MinerMetrics::new();
-                        if S::ENABLED {
-                            lm.executions_scanned = (hi - lo) as u64;
-                            lm.pairs_counted = pair_observations_range(vlog.cols, lo, hi);
-                            stage_end(&mut lm, Stage::CountPairs, started);
-                        }
-                        Ok((local, lm))
-                    },
-                )
-            })
-            .collect();
-        join_workers(handles, sink, |local: OrderObservations| {
-            for (t, l) in total.ordered.iter_mut().zip(local.ordered) {
-                *t += l;
-            }
-            for (t, l) in total.overlap.iter_mut().zip(local.overlap) {
-                *t += l;
-            }
-        })
-    })?;
-    wall.finish(sink);
-    reg.stage_latency(Stage::CountPairs)
-        .observe_since(reg_started);
-    Ok(total)
+    run_barrier(Stage::CountPairs, deadline, sink, tracer, reg, |sink| {
+        let mut total = OrderObservations::new(n);
+        fan_out(
+            Stage::CountPairs,
+            "count_pairs.worker",
+            vlog.cols.exec_count(),
+            threads,
+            sink,
+            tracer,
+            |execs, lm| {
+                let mut local = OrderObservations::new(n);
+                for i in execs.clone() {
+                    deadline.check()?;
+                    count_one_execution(n, vlog.cols.exec(i), &mut local);
+                }
+                if S::ENABLED {
+                    lm.executions_scanned = execs.len() as u64;
+                    lm.pairs_counted = pair_observations_range(vlog.cols, execs.start, execs.end);
+                }
+                Ok(local)
+            },
+            |local| {
+                for (t, l) in total.ordered.iter_mut().zip(local.ordered) {
+                    *t += l;
+                }
+                for (t, l) in total.overlap.iter_mut().zip(local.overlap) {
+                    *t += l;
+                }
+            },
+        )?;
+        Ok(total)
+    })
 }
 
 /// The parallel [`Stage::Reduce`] strategy: per-thread marked matrices
@@ -205,56 +187,37 @@ pub(crate) fn parallel_mark<S: MetricsSink>(
     tracer: &Tracer,
     reg: &Registry,
 ) -> Result<AdjMatrix, MineError> {
-    let _span = tracer.span_cat(Stage::Reduce.span_name(), "miner");
-    deadline.check()?;
-    let reg_started = reg.start();
     let vlog = *vlog;
     let n = vlog.n;
-    let m_execs = vlog.cols.exec_count();
-    let chunk = m_execs.div_ceil(threads).max(1);
-    let wall = WallStage::start::<S>(Stage::Reduce);
-    let mut total = AdjMatrix::new(n);
-    let mut arena_total = procmine_graph::ArenaStats::default();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..m_execs)
-            .step_by(chunk)
-            .map(|lo| {
-                let hi = (lo + chunk).min(m_execs);
-                scope.spawn(
-                    move || -> Result<((AdjMatrix, procmine_graph::ArenaStats), MinerMetrics), MineError> {
-                        let buf = tracer.worker();
-                        let _span = buf.span_cat("transitive_reduction.worker", "miner");
-                        let started = stage_start::<S>();
-                        let mut local = AdjMatrix::new(n);
-                        let mut scratch = MarkScratch::new();
-                        for i in lo..hi {
-                            deadline.check()?;
-                            mark_one_execution(g, vlog.cols.exec(i), &mut local, &mut scratch);
-                        }
-                        let mut lm = MinerMetrics::new();
-                        if S::ENABLED {
-                            stage_end(&mut lm, Stage::Reduce, started);
-                        }
-                        Ok(((local, scratch.arena_stats()), lm))
-                    },
-                )
-            })
-            .collect();
-        join_workers(
-            handles,
+    run_barrier(Stage::Reduce, deadline, sink, tracer, reg, |sink| {
+        let mut total = AdjMatrix::new(n);
+        let mut arena_total = ArenaStats::default();
+        fan_out(
+            Stage::Reduce,
+            "transitive_reduction.worker",
+            vlog.cols.exec_count(),
+            threads,
             sink,
-            |(local, stats): (AdjMatrix, procmine_graph::ArenaStats)| {
+            tracer,
+            |execs, _| {
+                let mut local = AdjMatrix::new(n);
+                let mut scratch = MarkScratch::new();
+                for i in execs {
+                    deadline.check()?;
+                    mark_one_execution(g, vlog.cols.exec(i), &mut local, &mut scratch);
+                }
+                Ok((local, scratch.arena_stats()))
+            },
+            |(local, stats)| {
                 for (u, v) in local.edges() {
                     total.add_edge(u, v);
                 }
                 arena_total.merge(&stats);
             },
-        )
-    })?;
-    record_arena_telemetry(&arena_total, sink, reg);
-    wall.finish(sink);
-    reg.stage_latency(Stage::Reduce).observe_since(reg_started);
-    Ok(total)
+        )?;
+        record_arena_telemetry(&arena_total, sink, reg);
+        Ok(total)
+    })
 }
 
 #[cfg(test)]
@@ -377,30 +340,6 @@ mod tests {
         assert_eq!(m.wall_nanos(Stage::Prune), 0);
         assert_eq!(m.wall_nanos(Stage::SccRemoval), 0);
         assert_eq!(m.wall_nanos(Stage::Assemble), 0);
-    }
-
-    #[test]
-    fn threshold_override_parses_and_validates() {
-        // Pure validation — no env mutation (racy across parallel
-        // tests); `parallel_graph_min_vertices` is just a cached read
-        // of this through the process environment.
-        assert_eq!(parse_threshold_override(None, 256), Ok(256));
-        assert_eq!(parse_threshold_override(Some("64"), 256), Ok(64));
-        assert_eq!(parse_threshold_override(Some(" 1024 "), 256), Ok(1024));
-        assert_eq!(
-            parse_threshold_override(Some("0"), 256),
-            Err("0".to_string()),
-            "zero would disable the serial fallback entirely"
-        );
-        assert_eq!(
-            parse_threshold_override(Some("-3"), 256),
-            Err("-3".to_string())
-        );
-        assert_eq!(
-            parse_threshold_override(Some("lots"), 256),
-            Err("lots".to_string())
-        );
-        assert!(parallel_graph_min_vertices() > 0);
     }
 
     #[test]

@@ -36,9 +36,10 @@
 //! are combined with [`Deadline::earliest`] — whichever fires first
 //! aborts the run.
 
+use crate::clock::StageClock;
 use crate::limits::Deadline;
 use crate::obs::Registry;
-use crate::telemetry::{stage_end, stage_start, MetricsSink, NullSink, Stage};
+use crate::telemetry::{MetricsSink, MinerMetrics, NullSink, Stage};
 use crate::trace::Tracer;
 use crate::{Limits, MineError};
 
@@ -165,28 +166,74 @@ impl<S> MineSession<S> {
 }
 
 /// Runs one pipeline stage as a named, traced, metered, budgeted unit:
-/// opens a `miner`-category span named [`Stage::span_name`], checks the
-/// deadline once at entry, credits the body's elapsed CPU time to the
-/// stage's [`MinerMetrics`](crate::MinerMetrics) timer, and samples
-/// the wall latency into the registry's per-stage histogram. Stage
-/// bodies that loop over executions re-check the deadline themselves,
-/// once per execution.
+/// checks the deadline once at entry, then times the body with one
+/// [`StageClock`] whose interval becomes the `miner`-category span
+/// named [`Stage::span_name`], the sample in the registry's per-stage
+/// histogram, and the stage's [`MinerMetrics`](crate::MinerMetrics)
+/// timer. A body that fails records into none of them. Stage bodies
+/// that loop over executions re-check the deadline themselves, once per
+/// execution.
 pub(crate) fn run_stage<S: MetricsSink, T>(
     stage: Stage,
     deadline: Deadline,
     sink: &mut S,
     tracer: &Tracer,
     obs: &Registry,
-    body: impl FnOnce(&mut S, &Tracer) -> Result<T, MineError>,
+    body: impl FnOnce(&mut S) -> Result<T, MineError>,
 ) -> Result<T, MineError> {
-    let _span = tracer.span_cat(stage.span_name(), "miner");
+    clocked_stage(
+        stage,
+        MinerMetrics::add_stage_nanos,
+        deadline,
+        sink,
+        tracer,
+        obs,
+        body,
+    )
+}
+
+/// [`run_stage`] for a fan-out/join barrier: the body spawns workers
+/// that credit their own intervals to the stage timer, so the barrier's
+/// interval is credited to the stage's wall-clock timer instead.
+pub(crate) fn run_barrier<S: MetricsSink, T>(
+    stage: Stage,
+    deadline: Deadline,
+    sink: &mut S,
+    tracer: &Tracer,
+    obs: &Registry,
+    body: impl FnOnce(&mut S) -> Result<T, MineError>,
+) -> Result<T, MineError> {
+    clocked_stage(
+        stage,
+        MinerMetrics::add_wall_nanos,
+        deadline,
+        sink,
+        tracer,
+        obs,
+        body,
+    )
+}
+
+fn clocked_stage<S: MetricsSink, T>(
+    stage: Stage,
+    slot: fn(&mut MinerMetrics, Stage, u64),
+    deadline: Deadline,
+    sink: &mut S,
+    tracer: &Tracer,
+    obs: &Registry,
+    body: impl FnOnce(&mut S) -> Result<T, MineError>,
+) -> Result<T, MineError> {
     deadline.check()?;
-    let started = stage_start::<S>();
-    let obs_started = obs.start();
-    let out = body(sink, tracer)?;
-    stage_end(sink, stage, started);
-    if obs_started.is_some() {
-        obs.stage_latency(stage).observe_since(obs_started);
+    let clock = StageClock::start(
+        tracer,
+        stage.span_name(),
+        "miner",
+        obs.stage_latency(stage),
+        S::ENABLED,
+    );
+    let out = body(sink)?;
+    if let Some(nanos) = clock.stop() {
+        sink.record(|m| slot(m, stage, nanos));
     }
     Ok(out)
 }
@@ -194,7 +241,6 @@ pub(crate) fn run_stage<S: MetricsSink, T>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::telemetry::MinerMetrics;
     use std::time::Duration;
 
     #[test]
@@ -262,7 +308,7 @@ mod tests {
             &mut metrics,
             &tracer,
             &Registry::disabled(),
-            |sink, _| {
+            |sink| {
                 sink.record(|m| m.edges_final += 7);
                 Ok(7u32)
             },
@@ -285,7 +331,7 @@ mod tests {
             &mut NullSink,
             &Tracer::disabled(),
             &obs,
-            |_, _| Ok(()),
+            |_| Ok(()),
         )
         .unwrap();
         let snap = obs.stage_latency(Stage::Reduce).snapshot();
@@ -315,7 +361,7 @@ mod tests {
             &mut NullSink,
             &Tracer::disabled(),
             &Registry::disabled(),
-            |_, _| Ok(()),
+            |_| Ok(()),
         )
         .unwrap_err();
         assert!(matches!(

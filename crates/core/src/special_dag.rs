@@ -91,7 +91,7 @@ pub fn mine_special_dag_in<S: MetricsSink>(
     // occurs once per execution, so each execution contributes at most
     // 1 per pair. An overlap is independence evidence (§2) and prunes
     // the pair like a two-cycle.
-    let obs = run_stage(Stage::CountPairs, deadline, sink, tracer, reg, |sink, _| {
+    let obs = run_stage(Stage::CountPairs, deadline, sink, tracer, reg, |sink| {
         let mut obs = crate::general_dag::OrderObservations::new(n);
         // Columnar scratch reused across executions: Algorithm 1 lowers
         // while counting, so one execution's columns live here at a
@@ -130,7 +130,7 @@ pub fn mine_special_dag_in<S: MetricsSink>(
     let counts = obs.ordered.clone();
 
     // Threshold (T = 1 keeps everything) and step 3: drop two-cycles.
-    let m = run_stage(Stage::Prune, deadline, sink, tracer, reg, |sink, _| {
+    let m = run_stage(Stage::Prune, deadline, sink, tracer, reg, |sink| {
         if S::ENABLED {
             let before = (0..n * n)
                 .filter(|&i| i / n != i % n && obs.ordered[i] > 0)
@@ -164,9 +164,9 @@ pub fn mine_special_dag_in<S: MetricsSink>(
     // Step 4: transitive reduction (unique for a DAG), under the
     // deadline's wall-clock budget; row-parallel for large graphs in a
     // multi-threaded session.
-    let reduced = run_stage(Stage::Reduce, deadline, sink, tracer, reg, |sink, _| {
+    let reduced = run_stage(Stage::Reduce, deadline, sink, tracer, reg, |sink| {
         let budget = deadline.budget();
-        let reduced = if threads > 1 && n >= crate::parallel::parallel_graph_min_vertices() {
+        let reduced = if threads > 1 && n >= crate::parallel::PARALLEL_GRAPH_MIN_VERTICES {
             transitive_reduction_matrix_parallel_budgeted(&m, threads, &budget)
         } else {
             transitive_reduction_matrix_budgeted(&m, &budget)
@@ -186,7 +186,7 @@ pub fn mine_special_dag_in<S: MetricsSink>(
         Ok(reduced)
     })?;
 
-    run_stage(Stage::Assemble, deadline, sink, tracer, reg, |_, _| {
+    run_stage(Stage::Assemble, deadline, sink, tracer, reg, |_| {
         let mut graph = graph_skeleton(log.activities());
         let mut support = Vec::with_capacity(reduced.edge_count());
         for (u, v) in reduced.edges() {

@@ -10,15 +10,19 @@
 //! to the same code as before the telemetry layer existed. A session
 //! built `with_sink(&mut MinerMetrics)` collects:
 //!
-//! * per-thread CPU nanoseconds per pipeline [`Stage`] (summed across
-//!   threads in the parallel miner);
-//! * wall-clock nanoseconds per stage, recorded by [`WallStage`]
-//!   timers at the parallel miner's fan-out/join barriers — the ratio
-//!   CPU-ns / wall-ns per stage is the stage's parallel efficiency;
+//! * nanoseconds per pipeline [`Stage`], summed across workers in the
+//!   parallel miner;
+//! * wall-clock nanoseconds per stage, recorded at the parallel miner's
+//!   fan-out/join barriers — the ratio of the two per stage is the
+//!   stage's parallel efficiency;
 //! * the counters of [`MinerMetrics`] — executions scanned, pairs
 //!   counted, edge populations before/after the noise threshold,
 //!   two-cycles dissolved, nontrivial SCCs dissolved, edges dropped by
 //!   the per-execution transitive reduction, and final edge count.
+//!
+//! Every stage timer is read from a [`StageClock`](crate::StageClock),
+//! the same interval the stage's trace span and registry histogram
+//! record, so `--stats`, `--trace` and `--metrics` agree exactly.
 //!
 //! The sink trait is generic over the metrics type it carries:
 //! `MetricsSink<MinerMetrics>` (the default) feeds the miners,
@@ -35,7 +39,6 @@
 //! this one); the CLI merges both reports.
 
 use std::fmt;
-use std::time::Instant;
 
 /// The pipeline stages timed by the session-based miners.
 ///
@@ -112,8 +115,8 @@ pub struct MinerMetrics {
     /// CPU nanoseconds per stage, indexed by `Stage as usize` (summed
     /// across threads in the parallel miner).
     stage_nanos: [u64; Stage::COUNT],
-    /// Wall-clock nanoseconds per stage, recorded by [`WallStage`]
-    /// barrier timers. Zero for stages no barrier timed.
+    /// Wall-clock nanoseconds per stage, recorded at the parallel
+    /// miner's fan-out/join barriers. Zero for stages no barrier timed.
     wall_nanos: [u64; Stage::COUNT],
     /// Executions scanned by the step-2 counting pass.
     pub executions_scanned: u64,
@@ -163,7 +166,7 @@ impl MinerMetrics {
         self.stage_nanos[stage as usize]
     }
 
-    /// Adds `nanos` to a stage's wall-clock timer (see [`WallStage`]).
+    /// Adds `nanos` to a stage's wall-clock (barrier) timer.
     pub fn add_wall_nanos(&mut self, stage: Stage, nanos: u64) {
         self.wall_nanos[stage as usize] += nanos;
     }
@@ -378,40 +381,6 @@ impl MetricsSink for MinerMetrics {
     }
 }
 
-/// A wall-clock timer for one stage across a parallel fan-out/join
-/// barrier.
-///
-/// Start it on the coordinating thread before spawning workers and
-/// finish it after the join; the elapsed wall time is credited to the
-/// stage's [`MinerMetrics::wall_nanos`], alongside the per-thread CPU
-/// time the workers record themselves. With at least two busy workers
-/// the stage's wall time is below its summed CPU time; the ratio is the
-/// stage's parallel efficiency.
-#[must_use = "a started WallStage must be finished to record anything"]
-pub struct WallStage {
-    stage: Stage,
-    started: Option<Instant>,
-}
-
-impl WallStage {
-    /// Starts a wall timer for `stage`; free when `S` is disabled.
-    pub fn start<S: MetricsSink>(stage: Stage) -> WallStage {
-        WallStage {
-            stage,
-            started: S::ENABLED.then(Instant::now),
-        }
-    }
-
-    /// Stops the timer, crediting the elapsed wall nanoseconds.
-    pub fn finish<S: MetricsSink>(self, sink: &mut S) {
-        if let Some(started) = self.started {
-            let nanos = started.elapsed().as_nanos() as u64;
-            let stage = self.stage;
-            sink.record(move |m| m.add_wall_nanos(stage, nanos));
-        }
-    }
-}
-
 /// Counters and timers collected by one conformance-checking run (see
 /// [`crate::conformance`]): executions checked, violations by variant,
 /// and the Definition-7 closure/SCC analysis times. Fields accumulate,
@@ -572,21 +541,6 @@ impl MetricsSink<ConformanceMetrics> for ConformanceMetrics {
     }
 }
 
-/// Starts a stage timer if the sink is enabled (monomorphizes to `None`
-/// for [`NullSink`]).
-pub(crate) fn stage_start<S: MetricsSink>() -> Option<Instant> {
-    S::ENABLED.then(Instant::now)
-}
-
-/// Closes a stage timer opened by [`stage_start`], crediting the
-/// elapsed nanoseconds to `stage`.
-pub(crate) fn stage_end<S: MetricsSink>(sink: &mut S, stage: Stage, started: Option<Instant>) {
-    if let Some(started) = started {
-        let nanos = started.elapsed().as_nanos() as u64;
-        sink.record(|m| m.add_stage_nanos(stage, nanos));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -724,31 +678,10 @@ mod tests {
     const _: () = assert!(<ConformanceMetrics as MetricsSink<ConformanceMetrics>>::ENABLED);
 
     #[test]
-    fn wall_stage_records_elapsed_time() {
-        let mut m = MinerMetrics::new();
-        let wall = WallStage::start::<MinerMetrics>(Stage::CountPairs);
-        wall.finish(&mut m);
-        // Elapsed time is monotonic, possibly zero on coarse clocks —
-        // the credit itself must land on the right stage.
-        let _ = m.wall_nanos(Stage::CountPairs);
-        assert_eq!(m.wall_nanos(Stage::Reduce), 0);
-    }
-
-    #[test]
-    fn wall_stage_is_inert_for_null_sink() {
-        let mut sink = NullSink;
-        let wall = WallStage::start::<NullSink>(Stage::Reduce);
-        assert!(wall.started.is_none(), "no clock read when disabled");
-        wall.finish(&mut sink);
-    }
-
-    #[test]
     fn null_sink_records_nothing() {
         let mut sink = NullSink;
         sink.record(|m: &mut MinerMetrics| m.edges_final += 1);
         sink.record(|m: &mut ConformanceMetrics| m.executions_checked += 1);
-        // And timers never even start.
-        assert!(stage_start::<NullSink>().is_none());
     }
 
     #[test]
@@ -756,12 +689,8 @@ mod tests {
         let mut m = MinerMetrics::new();
         m.record(|m| m.edges_final += 3);
         assert_eq!(m.edges_final, 3);
-        let started = stage_start::<MinerMetrics>();
-        assert!(started.is_some());
-        stage_end(&mut m, Stage::Prune, started);
-        // Elapsed time is monotonic, possibly zero on coarse clocks —
-        // just assert it was credited without panicking.
-        let _ = m.stage_nanos(Stage::Prune);
+        m.record(|m| m.add_stage_nanos(Stage::Prune, 5));
+        assert_eq!(m.stage_nanos(Stage::Prune), 5);
     }
 
     #[test]

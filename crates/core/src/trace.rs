@@ -15,6 +15,10 @@
 //! * **RAII spans** — [`Tracer::span`] / [`TraceBuffer::span`] return a
 //!   [`SpanGuard`] that records the interval when dropped; nesting in
 //!   the exported trace follows lexical scope.
+//! * **One clock per stage** — a pipeline stage's span is not a guard
+//!   but the interval of its [`StageClock`](crate::StageClock), recorded
+//!   onto a [`Lane`] with [`Lane::record`]; the same interval feeds the
+//!   stage's metrics timer and histogram.
 //! * **Cheap per-thread buffers** — the parallel miner's workers each
 //!   take a [`TraceBuffer`] via [`Tracer::worker`]: a plain `Vec`
 //!   behind a `RefCell`, flushed into the shared tracer exactly once
@@ -177,15 +181,7 @@ impl Tracer {
     /// Opens a span on the main lane (tid 0) with an explicit category.
     #[must_use = "the span ends when the guard is dropped"]
     pub fn span_cat(&self, name: &'static str, cat: &'static str) -> SpanGuard<'_> {
-        SpanGuard {
-            target: match &self.shared {
-                Some(shared) => Target::Shared(shared),
-                None => Target::Disabled,
-            },
-            name,
-            cat,
-            start: self.shared.as_ref().map(|_| Instant::now()),
-        }
+        SpanGuard::open(Lane::Main(self), name, cat)
     }
 
     /// Allocates a thread-local span buffer with a fresh lane id
@@ -320,15 +316,7 @@ impl TraceBuffer {
     /// Opens a span on this buffer's lane with an explicit category.
     #[must_use = "the span ends when the guard is dropped"]
     pub fn span_cat(&self, name: &'static str, cat: &'static str) -> SpanGuard<'_> {
-        SpanGuard {
-            target: match self.shared {
-                Some(_) => Target::Buffer(self),
-                None => Target::Disabled,
-            },
-            name,
-            cat,
-            start: self.shared.as_ref().map(|_| Instant::now()),
-        }
+        SpanGuard::open(Lane::Worker(self), name, cat)
     }
 }
 
@@ -343,10 +331,66 @@ impl Drop for TraceBuffer {
     }
 }
 
-enum Target<'a> {
-    Disabled,
-    Shared(&'a Shared),
-    Buffer(&'a TraceBuffer),
+/// Where a span lands: a tracer's main lane (tid 0), a worker
+/// buffer's lane, or nowhere. Spans on a lane whose tracer is disabled
+/// are dropped too, so [`is_enabled`](Self::is_enabled) is the one test
+/// for "will a span here be kept".
+#[derive(Clone, Copy, Debug)]
+pub enum Lane<'t> {
+    /// Record nothing.
+    Off,
+    /// The main lane of a [`Tracer`].
+    Main(&'t Tracer),
+    /// The lane of a per-thread [`TraceBuffer`].
+    Worker(&'t TraceBuffer),
+}
+
+impl<'t> From<&'t Tracer> for Lane<'t> {
+    fn from(tracer: &'t Tracer) -> Self {
+        Lane::Main(tracer)
+    }
+}
+
+impl<'t> From<&'t TraceBuffer> for Lane<'t> {
+    fn from(buffer: &'t TraceBuffer) -> Self {
+        Lane::Worker(buffer)
+    }
+}
+
+impl Lane<'_> {
+    /// `true` when a span recorded here is kept.
+    pub fn is_enabled(self) -> bool {
+        match self {
+            Lane::Off => false,
+            Lane::Main(tracer) => tracer.shared.is_some(),
+            Lane::Worker(buffer) => buffer.shared.is_some(),
+        }
+    }
+
+    /// Records a completed span that started at `start` and lasted
+    /// `dur_ns` nanoseconds. A no-op on a disabled lane.
+    pub fn record(self, name: &'static str, cat: &'static str, start: Instant, dur_ns: u64) {
+        let span = |shared: &Shared, tid| SpanRecord {
+            name,
+            cat,
+            tid,
+            start_ns: start.duration_since(shared.epoch).as_nanos() as u64,
+            dur_ns,
+        };
+        match self {
+            Lane::Off => {}
+            Lane::Main(tracer) => {
+                if let Some(shared) = &tracer.shared {
+                    shared.push(span(shared, 0));
+                }
+            }
+            Lane::Worker(buffer) => {
+                if let Some(shared) = &buffer.shared {
+                    buffer.spans.borrow_mut().push(span(shared, buffer.tid));
+                }
+            }
+        }
+    }
 }
 
 /// RAII guard for one open span: created by [`Tracer::span`] or
@@ -355,38 +399,28 @@ enum Target<'a> {
 /// is a no-op.
 #[must_use = "the span ends when the guard is dropped"]
 pub struct SpanGuard<'a> {
-    target: Target<'a>,
+    lane: Lane<'a>,
     name: &'static str,
     cat: &'static str,
     start: Option<Instant>,
 }
 
+impl<'a> SpanGuard<'a> {
+    fn open(lane: Lane<'a>, name: &'static str, cat: &'static str) -> Self {
+        SpanGuard {
+            lane,
+            name,
+            cat,
+            start: lane.is_enabled().then(Instant::now),
+        }
+    }
+}
+
 impl Drop for SpanGuard<'_> {
     fn drop(&mut self) {
-        let Some(start) = self.start else { return };
-        match self.target {
-            Target::Disabled => {}
-            Target::Shared(shared) => {
-                let record = SpanRecord {
-                    name: self.name,
-                    cat: self.cat,
-                    tid: 0,
-                    start_ns: start.duration_since(shared.epoch).as_nanos() as u64,
-                    dur_ns: start.elapsed().as_nanos() as u64,
-                };
-                shared.push(record);
-            }
-            Target::Buffer(buffer) => {
-                let Some(shared) = &buffer.shared else { return };
-                let record = SpanRecord {
-                    name: self.name,
-                    cat: self.cat,
-                    tid: buffer.tid,
-                    start_ns: start.duration_since(shared.epoch).as_nanos() as u64,
-                    dur_ns: start.elapsed().as_nanos() as u64,
-                };
-                buffer.spans.borrow_mut().push(record);
-            }
+        if let Some(start) = self.start {
+            let dur_ns = start.elapsed().as_nanos() as u64;
+            self.lane.record(self.name, self.cat, start, dur_ns);
         }
     }
 }
