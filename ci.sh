@@ -58,6 +58,50 @@ if [ -n "$stray" ] || [ "$eof_count" -ne 1 ] || [ "$budget_count" -ne 1 ]; then
   exit 1
 fi
 
+# START/END pairing lives once, in `validate::assemble_core`: the batch
+# readers, the record-slice adapters and the follow assembler's
+# per-case close all call it, so a second pairing loop cannot regrow
+# beside it. A pairing loop is what constructs unmatched-START/END
+# errors and dangling diagnostics; patterns (`Variant { .. }`,
+# `Variant { .. } =>`, `Variant { .. } = x`) are not constructions.
+# Test modules (after `#[cfg(test)]`) are not scanned.
+echo "==> one assembly core: unmatched START/END built only in validate::assemble_core"
+pairing_sites=$(awk '
+  function close_at(s,   i, c) {
+    for (i = 1; i <= length(s); i++) {
+      c = substr(s, i, 1)
+      if (c == "{") depth++
+      else if (c == "}" && --depth == 0) return i
+    }
+    return 0
+  }
+  FNR == 1 { fn_name = ""; collecting = 0 }
+  /#\[cfg\(test\)\]/ { nextfile }
+  !collecting && match($0, /fn [a-z_0-9]+/) { fn_name = substr($0, RSTART + 3, RLENGTH - 3) }
+  !collecting && match($0, /(LogError::Unmatched(End|Start)|Diagnostic::Dangling(End|Start)) *\{/) {
+    collecting = 1; depth = 0; body = ""; site = FILENAME ":" FNR; site_fn = fn_name
+    rest = substr($0, RSTART)
+    variant = substr($0, RSTART, RLENGTH)
+  }
+  collecting {
+    if (rest == "") rest = $0
+    end = close_at(rest)
+    if (end == 0) { body = body rest " "; rest = ""; next }
+    body = body substr(rest, 1, end)
+    after = substr(rest, end + 1)
+    collecting = 0; rest = ""
+    sub(/ *\{$/, "", variant)
+    if (body !~ /\.\./ && after !~ /^[ \t]*[=|]/) print site ": " variant " in fn " site_fn
+  }
+' $(find crates/log/src -name '*.rs' | sort))
+stray=$(printf '%s\n' "$pairing_sites" | grep -v '^crates/log/src/validate.rs:[0-9]*: .* in fn assemble_core$' || true)
+core_count=$(printf '%s\n' "$pairing_sites" | grep -c ' in fn assemble_core$' || true)
+if [ -n "$stray" ] || [ "$core_count" -ne 4 ]; then
+  echo "START/END pairing must live once, in validate::assemble_core:" >&2
+  echo "$pairing_sites" >&2
+  exit 1
+fi
+
 # Every timed stage is measured once, by a `StageClock`, whose interval
 # feeds the sink timer, the trace span and the registry histogram alike
 # — so `--stats`, `--trace` and `--metrics` agree to the nanosecond. The
@@ -79,6 +123,13 @@ fi
 echo "==> tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
+
+# The benchmark package (`benchmark/`, a cargo workspace of its own)
+# calls the library API directly. Build and test it here, so an API
+# change that breaks it fails the gate instead of the next benchmark
+# run.
+echo "==> benchmark package: build + test (benchmark/Cargo.toml)"
+cargo test --release --offline --manifest-path benchmark/Cargo.toml
 
 echo "==> corruption smoke subset"
 cargo test -q --test corruption smoke_

@@ -14,7 +14,7 @@
 //! activity name, the event type, and the timestamp", §8).
 
 use super::{ByteLines, CodecStats, IngestReport, RecoveryPolicy};
-use crate::validate::{assemble_executions_with, AssemblyPolicy};
+use crate::validate::{Assembled, AssemblyPolicy, CompactEvents};
 use crate::{ActivityTable, EventKind, EventRecord, LogError, WorkflowLog};
 use std::io::{BufRead, Write};
 
@@ -56,6 +56,11 @@ pub fn read_log_with_stats<R: BufRead>(
 /// and skipped and START/END pairing falls back to lenient assembly.
 /// An unparsable final line with no trailing newline is reported as
 /// [`LogError::UnexpectedEof`] — a truncated file, not a garbage line.
+///
+/// Each line decodes into a [`CompactEvent`](crate::validate::CompactEvent)
+/// (interned case and activity ids, no heap allocation per line), and
+/// the events are paired by the one assembly core of
+/// [`crate::validate`].
 pub fn read_log_with<R: BufRead>(
     reader: R,
     policy: RecoveryPolicy,
@@ -63,43 +68,52 @@ pub fn read_log_with<R: BufRead>(
     report: &mut IngestReport,
 ) -> Result<WorkflowLog, LogError> {
     let mut lines = ByteLines::new(reader);
-    let result = collect_records(&mut lines, policy, report);
+    let mut events = CompactEvents::default();
+    let result = collect_events(&mut lines, policy, report, &mut events);
     stats.bytes_read += lines.bytes();
-    let records = result?;
-    stats.events_parsed += records.len() as u64;
-    let log = if policy.is_strict() {
-        WorkflowLog::from_events(&records).map_err(|e| {
-            report.record_error(lines.bytes(), 0, e.to_string());
-            e
-        })?
+    result?;
+    stats.events_parsed += events.len() as u64;
+    let assembly = if policy.is_strict() {
+        AssemblyPolicy::Strict
     } else {
-        let mut table = ActivityTable::new();
-        let assembled = assemble_executions_with(&records, &mut table, AssemblyPolicy::Lenient)
-            .map_err(|e| {
-                report.record_error(lines.bytes(), 0, e.to_string());
-                e
-            })?;
-        report.records_skipped += assembled.diagnostics.len() as u64;
-        let mut log = WorkflowLog::with_activities(table);
-        for exec in assembled.executions {
-            log.push(exec);
-        }
-        log
+        AssemblyPolicy::Lenient
     };
+    let mut table = ActivityTable::new();
+    let mut assembled = Assembled::default();
+    if let Err(e) = events.assemble(&mut table, assembly, &mut assembled) {
+        report.record_error(lines.bytes(), 0, e.to_string());
+        return Err(e);
+    }
+    report.records_skipped += assembled.diagnostics.len() as u64;
+    let log = WorkflowLog::from_parts(table, assembled.executions);
     stats.executions_parsed += log.len() as u64;
     Ok(log)
 }
 
-fn collect_records<R: BufRead>(
+fn collect_events<R: BufRead>(
     lines: &mut ByteLines<R>,
     policy: RecoveryPolicy,
     report: &mut IngestReport,
-) -> Result<Vec<EventRecord>, LogError> {
-    let mut records = Vec::new();
-    while let Some((record, _)) = lines.next_record(policy, report, parse_line)? {
-        records.push(record);
-    }
-    Ok(records)
+    events: &mut CompactEvents,
+) -> Result<(), LogError> {
+    let mut output = Vec::new();
+    let mut push = |text: &str, lineno: usize| {
+        let Some(f) = split_line(text, lineno)? else {
+            return Ok(None);
+        };
+        let output = match f.output {
+            Some(field) => {
+                output.clear();
+                parse_output(field, lineno, &mut output)?;
+                Some(&output[..])
+            }
+            None => None,
+        };
+        events.push(f.process, f.activity, f.kind, f.time, output)?;
+        Ok(Some(()))
+    };
+    while lines.next_record(policy, report, &mut push)?.is_some() {}
+    Ok(())
 }
 
 /// Writes a log as a Flowmark-style event stream. Instances are emitted
@@ -157,62 +171,118 @@ fn check_field(s: &str) -> Result<(), LogError> {
 }
 
 /// Parses one line of a Flowmark log: `Ok(None)` for a blank line or a
-/// `#` comment. The line parser of the batch readers and of
-/// [`FlowmarkSource`](crate::stream::FlowmarkSource).
+/// `#` comment. The line parser of [`read_events`] and of
+/// [`FlowmarkSource`](crate::stream::FlowmarkSource); the batch reader
+/// decodes through the same [`split_line`].
 pub(crate) fn parse_line(text: &str, lineno: usize) -> Result<Option<EventRecord>, LogError> {
-    let trimmed = text.trim();
-    if trimmed.is_empty() || trimmed.starts_with('#') {
+    let Some(f) = split_line(text, lineno)? else {
         return Ok(None);
-    }
-    parse_event_line(trimmed, lineno).map(Some)
+    };
+    let output = match f.output {
+        Some(field) => {
+            let mut values = Vec::new();
+            parse_output(field, lineno, &mut values)?;
+            Some(values)
+        }
+        None => None,
+    };
+    Ok(Some(EventRecord {
+        process: f.process.to_string(),
+        activity: f.activity.to_string(),
+        kind: f.kind,
+        time: f.time,
+        output,
+    }))
 }
 
-/// Parses one Flowmark-style event line (1-based `lineno` for error
-/// reporting).
-pub fn parse_event_line(line: &str, lineno: usize) -> Result<EventRecord, LogError> {
-    let parts: Vec<&str> = line.split(',').collect();
-    if parts.len() < 4 || parts.len() > 5 {
-        return Err(LogError::Parse {
-            line: lineno,
-            message: format!(
-                "expected 4 or 5 comma-separated fields, got {}",
-                parts.len()
-            ),
-        });
+/// The fields of one Flowmark event line, borrowed from the line.
+struct Fields<'a> {
+    process: &'a str,
+    activity: &'a str,
+    kind: EventKind,
+    time: u64,
+    /// The raw output field, parsed by [`parse_output`].
+    output: Option<&'a str>,
+}
+
+/// Splits and checks one Flowmark line (1-based `lineno` for errors)
+/// without allocating: `Ok(None)` for a blank line or a `#` comment.
+/// The one line grammar of every Flowmark reader.
+fn split_line(text: &str, lineno: usize) -> Result<Option<Fields<'_>>, LogError> {
+    let line = trim(text);
+    if line.is_empty() || line.starts_with('#') {
+        return Ok(None);
     }
-    let kind: EventKind = parts[2].trim().parse().map_err(|()| LogError::Parse {
+    let error = |message: String| LogError::Parse {
         line: lineno,
-        message: format!("unknown event type `{}`", parts[2]),
-    })?;
-    let time: u64 = parts[3].trim().parse().map_err(|_| LogError::Parse {
-        line: lineno,
-        message: format!("invalid timestamp `{}`", parts[3]),
-    })?;
-    let output = if parts.len() == 5 {
-        if kind == EventKind::Start {
-            return Err(LogError::Parse {
-                line: lineno,
-                message: "START events cannot carry an output vector".to_string(),
-            });
+        message,
+    };
+    let mut parts = [""; 5];
+    let mut count = 0;
+    let mut start = 0;
+    for (i, &b) in line.as_bytes().iter().enumerate() {
+        if b == b',' {
+            if let Some(slot) = parts.get_mut(count) {
+                *slot = &line[start..i];
+            }
+            count += 1;
+            start = i + 1;
         }
-        let vec: Result<Vec<i64>, _> = parts[4]
-            .split(';')
-            .map(|v| v.trim().parse::<i64>())
-            .collect();
-        Some(vec.map_err(|_| LogError::Parse {
-            line: lineno,
-            message: format!("invalid output vector `{}`", parts[4]),
-        })?)
+    }
+    if let Some(slot) = parts.get_mut(count) {
+        *slot = &line[start..];
+    }
+    count += 1;
+    if !(4..=5).contains(&count) {
+        return Err(error(format!(
+            "expected 4 or 5 comma-separated fields, got {count}"
+        )));
+    }
+    let kind: EventKind = trim(parts[2])
+        .parse()
+        .map_err(|()| error(format!("unknown event type `{}`", parts[2])))?;
+    let time: u64 = trim(parts[3])
+        .parse()
+        .map_err(|_| error(format!("invalid timestamp `{}`", parts[3])))?;
+    let output = if count == 5 {
+        if kind == EventKind::Start {
+            return Err(error(
+                "START events cannot carry an output vector".to_string(),
+            ));
+        }
+        Some(parts[4])
     } else {
         None
     };
-    Ok(EventRecord {
-        process: parts[0].trim().to_string(),
-        activity: parts[1].trim().to_string(),
+    Ok(Some(Fields {
+        process: trim(parts[0]),
+        activity: trim(parts[1]),
         kind,
         time,
         output,
-    })
+    }))
+}
+
+/// [`str::trim`], returning `s` itself without a char scan when both
+/// ends are ASCII non-whitespace (the common case for a field).
+fn trim(s: &str) -> &str {
+    let kept = |b: Option<&u8>| b.is_some_and(|&b| b.is_ascii() && !char::from(b).is_whitespace());
+    if kept(s.as_bytes().first()) && kept(s.as_bytes().last()) {
+        s
+    } else {
+        s.trim()
+    }
+}
+
+/// Appends the `;`-separated integers of an output field to `values`.
+fn parse_output(field: &str, lineno: usize, values: &mut Vec<i64>) -> Result<(), LogError> {
+    for v in field.split(';') {
+        values.push(trim(v).parse().map_err(|_| LogError::Parse {
+            line: lineno,
+            message: format!("invalid output vector `{field}`"),
+        })?);
+    }
+    Ok(())
 }
 
 #[cfg(test)]

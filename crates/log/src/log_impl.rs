@@ -28,6 +28,14 @@ impl WorkflowLog {
         }
     }
 
+    /// A log of `executions` whose activity ids come from `activities`.
+    pub(crate) fn from_parts(activities: ActivityTable, executions: Vec<Execution>) -> Self {
+        WorkflowLog {
+            activities,
+            executions,
+        }
+    }
+
     /// The activity table.
     pub fn activities(&self) -> &ActivityTable {
         &self.activities

@@ -29,7 +29,7 @@
 
 use super::checkpoint::{self, CheckpointError, WireError, WireReader, WireWriter};
 use super::{Observer, SourceLocation, StreamError, StreamSink};
-use crate::validate::{assemble_executions_with, locate_diagnostic, AssemblyPolicy};
+use crate::validate::{AssemblyPolicy, CaseScratch};
 use crate::{ActivityTable, EventRecord, IngestReport};
 use std::collections::HashMap;
 
@@ -181,6 +181,7 @@ pub struct CaseAssembler<O: Observer> {
     executions_emitted: u64,
     report: IngestReport,
     finished: bool,
+    scratch: CaseScratch,
 }
 
 impl<O: Observer> CaseAssembler<O> {
@@ -196,6 +197,7 @@ impl<O: Observer> CaseAssembler<O> {
             executions_emitted: 0,
             report: IngestReport::default(),
             finished: false,
+            scratch: CaseScratch::default(),
         }
     }
 
@@ -337,6 +339,7 @@ impl<O: Observer> CaseAssembler<O> {
             executions_emitted: state.executions_emitted,
             report: state.report,
             finished: false,
+            scratch: CaseScratch::default(),
         })
     }
 
@@ -348,12 +351,12 @@ impl<O: Observer> CaseAssembler<O> {
         assembly: AssemblyPolicy,
         eviction: bool,
     ) -> Result<(), StreamError> {
-        let assembled = assemble_executions_with(&case.records, &mut self.table, assembly)?;
+        let assembled = self
+            .scratch
+            .assemble(name, &case.records, &mut self.table, assembly)?;
         self.report.records_skipped += assembled.diagnostics.len() as u64;
-        for diag in &assembled.diagnostics {
-            let at = locate_diagnostic(&case.records, diag)
-                .map(|i| case.locations[i])
-                .unwrap_or_default();
+        for (record, diag) in &assembled.diagnostics {
+            let at = case.locations.get(*record).copied().unwrap_or_default();
             self.report
                 .record_diagnostic(at.byte_offset, at.line, diag.to_string());
         }
@@ -361,8 +364,8 @@ impl<O: Observer> CaseAssembler<O> {
             self.report.cases_evicted += 1;
             self.observer.on_eviction(name, case.records.len());
         }
-        for exec in &assembled.executions {
-            self.observer.on_execution(exec, &self.table)?;
+        for exec in assembled.executions.drain(..) {
+            self.observer.on_execution(&exec, &self.table)?;
             self.executions_emitted += 1;
         }
         Ok(())
@@ -613,6 +616,26 @@ mod tests {
             0,
             "diagnostics must not burn the Skip budget"
         );
+    }
+
+    /// Two STARTs of `A` at the same instant, one END: FIFO pairing
+    /// closes the first, so the diagnostic points at the second line.
+    #[test]
+    fn diagnostic_points_at_the_dangling_record_not_its_twin() {
+        let mut cap = Capture::default();
+        let mut asm = CaseAssembler::new(AssemblerConfig::default(), &mut cap);
+        feed(
+            &mut asm,
+            &[
+                EventRecord::start("p1", "A", 5),
+                EventRecord::start("p1", "A", 5), // dangling, line 2
+                EventRecord::end("p1", "A", 6, None),
+            ],
+        )
+        .unwrap();
+        assert_eq!(asm.report().errors.len(), 1);
+        assert_eq!(asm.report().errors[0].line, 2);
+        assert_eq!(asm.report().errors[0].byte_offset, 1);
     }
 
     /// Mid-stream export/resume replays exactly like an uninterrupted
