@@ -13,41 +13,24 @@
 //! ```text
 //! perfsuite [--smoke] [--out FILE] [--repeats N] [--compare OLD.json]
 //!           [--threshold-pct N] [--check-schema FILE] [--normalize]
-//!           [--assert-xes-ratio FILE] [--assert-checkpoint-ratio FILE]
-//!           [--assert-columnar-ratio FILE]
+//!           [--assert-gates FILE]
 //! ```
 //!
 //! `--normalize` adds a `ratio_vs_general` field to every cell: its
 //! median as a multiple of the same-scenario `mine.general` median, so
 //! stage costs read as fractions of the reference pipeline.
 //!
-//! `--assert-xes-ratio FILE` runs no benchmarks: it loads a saved
-//! report and fails when any scenario's `codec.xes` median exceeds
-//! [`XES_RATIO_LIMIT`] times its `codec.jsonl` median — the codec
-//! fast-path gate, pinned against the committed baseline.
-//!
-//! `--assert-checkpoint-ratio FILE` is the same kind of saved-report
-//! gate for the `--follow` checkpoint subsystem: it fails when any
-//! scenario's `stream.checkpoint` median (the follow pipeline with
-//! cadenced atomic checkpoint saves, amortized per pass) exceeds
-//! [`CHECKPOINT_RATIO_LIMIT`] times its `stream.mine` median.
-//!
-//! `--assert-columnar-ratio FILE` is the saved-report gate for the
-//! columnar data-layer refactor: every scenario's `mine.columnar_ratio`
-//! cell (the `mine.general` median over the `mine.legacy` median, in
-//! milli-units — 1000 is parity) must stay at or below
-//! [`COLUMNAR_RATIO_MILLI_LIMIT`], i.e. the columnar path may never be
-//! slower than the retained nested-`Vec` reference implementation on
-//! the §8.1 workloads.
+//! `--assert-gates FILE` runs no benchmarks: it loads a saved report
+//! and checks every row of [`GATES`], a table of `(numerator cell,
+//! denominator cell, limit)` rows. A row fails when any scenario's
+//! numerator median exceeds `limit` times its denominator median (see
+//! [`max_stage_ratio`]); adding a gate is adding a row.
 //!
 //! Exit status: 0 on success, 1 on usage or I/O errors, 2 when
 //! `--compare` found regressions, 3 when the disabled-tracer overhead
 //! guard tripped (a default-session `mine_general_dag_in` call
 //! measurably slower than the plain entry point), 4 when
-//! `--assert-xes-ratio` found the XES decoder too far behind JSONL,
-//! 5 when `--assert-checkpoint-ratio` found checkpointing too far
-//! above the plain follow pipeline, 7 when `--assert-columnar-ratio`
-//! found the columnar miner slower than the legacy layout.
+//! `--assert-gates` found a cell ratio above its limit.
 
 use procmine_bench::perf::{
     compare, max_stage_ratio, normalize, summarize, Cell, Report, TraceOverhead,
@@ -79,25 +62,21 @@ const TRACE_OVERHEAD_LIMIT: f64 = 1.5;
 /// Thread count for the parallel micro cells and `mine.parallel4`.
 const MICRO_THREADS: usize = 4;
 
-/// `--assert-xes-ratio` limit: the `codec.xes` median may cost at most
-/// this multiple of the same-scenario `codec.jsonl` median. The
-/// zero-copy XES parser landed well under it; the gate keeps the XML
-/// path from quietly sliding back to its pre-rewrite 10–20x.
-const XES_RATIO_LIMIT: f64 = 2.0;
-
-/// `--assert-checkpoint-ratio` limit: the `stream.checkpoint` median
-/// (follow pipeline + cadenced atomic saves, amortized per pass) may
-/// cost at most this multiple of the same-scenario `stream.mine`
-/// median. At [`DEFAULT_CHECKPOINT_EVERY`] the save's ~1.5ms fsync is
-/// spread over enough consumed events to stay inside 10%.
-const CHECKPOINT_RATIO_LIMIT: f64 = 1.10;
-
-/// `--assert-columnar-ratio` limit, in milli-units: the
-/// `mine.columnar_ratio` cell (columnar `mine.general` median × 1000 /
-/// `mine.legacy` median) must not exceed 1000 — the columnar layout
-/// must be at least at parity with the nested-`Vec` reference path it
-/// replaced.
-const COLUMNAR_RATIO_MILLI_LIMIT: u64 = 1000;
+/// The `--assert-gates` table: `(numerator, denominator, limit)`. On
+/// the committed baseline, each scenario's numerator median may be at
+/// most `limit` times its denominator median.
+const GATES: [(&str, &str, f64); 3] = [
+    // The zero-copy XES parser landed well under 2x; the gate keeps the
+    // XML path from sliding back to its pre-rewrite 10–20x.
+    ("codec.xes", "codec.jsonl", 2.0),
+    // Follow pipeline plus cadenced atomic saves, amortized per pass: at
+    // `DEFAULT_CHECKPOINT_EVERY` the save's ~1.5 ms fsync is spread over
+    // enough consumed events to stay inside 10%.
+    ("stream.checkpoint", "stream.mine", 1.10),
+    // The columnar layout must be at least at parity with the retained
+    // nested-`Vec` reference path it replaced.
+    ("mine.general", "mine.legacy", 1.0),
+];
 
 /// [`MICRO_THREADS`] clamped to the host's cores: oversubscribing a
 /// smaller machine only measures context-switch thrash, so on (say) a
@@ -116,9 +95,7 @@ struct Args {
     compare: Option<String>,
     threshold_pct: f64,
     check_schema: Option<String>,
-    assert_xes_ratio: Option<String>,
-    assert_checkpoint_ratio: Option<String>,
-    assert_columnar_ratio: Option<String>,
+    assert_gates: Option<String>,
     normalize: bool,
 }
 
@@ -130,9 +107,7 @@ fn parse_args() -> Result<Args, String> {
         compare: None,
         threshold_pct: 15.0,
         check_schema: None,
-        assert_xes_ratio: None,
-        assert_checkpoint_ratio: None,
-        assert_columnar_ratio: None,
+        assert_gates: None,
         normalize: false,
     };
     let mut repeats: Option<usize> = None;
@@ -158,13 +133,7 @@ fn parse_args() -> Result<Args, String> {
                     .map_err(|e| format!("--threshold-pct: {e}"))?;
             }
             "--check-schema" => args.check_schema = Some(value("--check-schema")?),
-            "--assert-xes-ratio" => args.assert_xes_ratio = Some(value("--assert-xes-ratio")?),
-            "--assert-checkpoint-ratio" => {
-                args.assert_checkpoint_ratio = Some(value("--assert-checkpoint-ratio")?);
-            }
-            "--assert-columnar-ratio" => {
-                args.assert_columnar_ratio = Some(value("--assert-columnar-ratio")?);
-            }
+            "--assert-gates" => args.assert_gates = Some(value("--assert-gates")?),
             "--normalize" => args.normalize = true,
             other => return Err(format!("unknown argument `{other}`")),
         }
@@ -224,18 +193,6 @@ fn workload_cells(scenario: &str, log: &WorkflowLog, repeats: usize, cells: &mut
             mine_general_reference(log, &options).expect("mining succeeds");
         }),
     );
-    // Derived cell in milli-units (1000 == parity) so the committed
-    // baseline records how the columnar layout compares to the legacy
-    // one, and `--assert-columnar-ratio` can gate on it.
-    let milli = |num: u64, den: u64| num.saturating_mul(1000) / den.max(1);
-    cells.push(Cell {
-        scenario: scenario.to_string(),
-        stage: "mine.columnar_ratio".to_string(),
-        median_ns: milli(general.median_ns, legacy.median_ns),
-        p95_ns: milli(general.p95_ns, legacy.p95_ns),
-        runs: repeats,
-        ratio_vs_general: None,
-    });
     cells.push(general);
     cells.push(legacy);
     cells.push(summarize(
@@ -345,7 +302,7 @@ fn workload_cells(scenario: &str, log: &WorkflowLog, repeats: usize, cells: &mut
     // carry counter survives passes and runs, exactly like a
     // long-lived follow session, so each run pays for exactly the
     // saves the cadence demands. Per-pass time, same pass count as
-    // stream.mine; the --assert-checkpoint-ratio gate pins the ratio.
+    // stream.mine; the `--assert-gates` table pins the ratio.
     let ck_path = std::env::temp_dir().join(format!(
         "procmine-perfsuite-{}-{scenario}.ckpt",
         std::process::id()
@@ -546,74 +503,24 @@ fn run() -> Result<ExitCode, String> {
         return Ok(ExitCode::SUCCESS);
     }
 
-    if let Some(path) = &args.assert_xes_ratio {
+    if let Some(path) = &args.assert_gates {
         let json = fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
         let report = Report::from_json(&json).map_err(|e| format!("{path}: {e}"))?;
-        let Some(worst) = max_stage_ratio(&report.cells, "codec.xes", "codec.jsonl") else {
-            return Err(format!(
-                "{path}: no scenario carries both codec.xes and codec.jsonl cells"
-            ));
-        };
-        if worst > XES_RATIO_LIMIT {
-            eprintln!(
-                "FAIL: codec.xes runs {worst:.2}x codec.jsonl in {path} (limit {XES_RATIO_LIMIT}x)"
-            );
-            return Ok(ExitCode::from(4));
+        let mut status = ExitCode::SUCCESS;
+        for (num, den, limit) in GATES {
+            let Some(worst) = max_stage_ratio(&report.cells, num, den) else {
+                return Err(format!(
+                    "{path}: no scenario carries both {num} and {den} cells"
+                ));
+            };
+            if worst > limit {
+                eprintln!("FAIL: {num} runs {worst:.2}x {den} in {path} (limit {limit}x)");
+                status = ExitCode::from(4);
+            } else {
+                println!("{path}: {num} within {worst:.2}x of {den} (limit {limit}x)");
+            }
         }
-        println!("{path}: codec.xes within {worst:.2}x of codec.jsonl (limit {XES_RATIO_LIMIT}x)");
-        return Ok(ExitCode::SUCCESS);
-    }
-
-    if let Some(path) = &args.assert_checkpoint_ratio {
-        let json = fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-        let report = Report::from_json(&json).map_err(|e| format!("{path}: {e}"))?;
-        let Some(worst) = max_stage_ratio(&report.cells, "stream.checkpoint", "stream.mine") else {
-            return Err(format!(
-                "{path}: no scenario carries both stream.checkpoint and stream.mine cells"
-            ));
-        };
-        if worst > CHECKPOINT_RATIO_LIMIT {
-            eprintln!(
-                "FAIL: stream.checkpoint runs {worst:.2}x stream.mine in {path} \
-                 (limit {CHECKPOINT_RATIO_LIMIT}x)"
-            );
-            return Ok(ExitCode::from(5));
-        }
-        println!(
-            "{path}: stream.checkpoint within {worst:.2}x of stream.mine \
-             (limit {CHECKPOINT_RATIO_LIMIT}x)"
-        );
-        return Ok(ExitCode::SUCCESS);
-    }
-
-    if let Some(path) = &args.assert_columnar_ratio {
-        let json = fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-        let report = Report::from_json(&json).map_err(|e| format!("{path}: {e}"))?;
-        let worst = report
-            .cells
-            .iter()
-            .filter(|c| c.stage == "mine.columnar_ratio")
-            .map(|c| c.median_ns)
-            .max();
-        let Some(worst) = worst else {
-            return Err(format!(
-                "{path}: no scenario carries a mine.columnar_ratio cell"
-            ));
-        };
-        if worst > COLUMNAR_RATIO_MILLI_LIMIT {
-            eprintln!(
-                "FAIL: columnar mine.general runs {:.2}x mine.legacy in {path} (limit {:.2}x)",
-                worst as f64 / 1000.0,
-                COLUMNAR_RATIO_MILLI_LIMIT as f64 / 1000.0
-            );
-            return Ok(ExitCode::from(7));
-        }
-        println!(
-            "{path}: columnar mine.general within {:.2}x of mine.legacy (limit {:.2}x)",
-            worst as f64 / 1000.0,
-            COLUMNAR_RATIO_MILLI_LIMIT as f64 / 1000.0
-        );
-        return Ok(ExitCode::SUCCESS);
+        return Ok(status);
     }
 
     // Fixed workload matrix: §8.1 random-walk logs over the paper's

@@ -3,8 +3,11 @@
 //! session-based entry points are generic over
 //! `S: MetricsSink<ClassifyMetrics>`, and with
 //! [`NullSink`](procmine_core::NullSink) every guard is `if false` and
-//! the instrumentation compiles to nothing.
+//! the instrumentation compiles to nothing. Its cells are declared once
+//! through [`Counters`], which supplies merging, the JSON report and
+//! the table.
 
+use procmine_core::telemetry::{Cell, Counters, Merge};
 use procmine_core::MetricsSink;
 use std::fmt;
 
@@ -39,65 +42,25 @@ impl ClassifyMetrics {
     pub fn new() -> Self {
         ClassifyMetrics::default()
     }
+}
 
-    /// Folds another metrics value into this one (counters add,
-    /// `max_tree_depth` takes the max).
-    pub fn merge(&mut self, other: &ClassifyMetrics) {
-        self.edges_considered += other.edges_considered;
-        self.edges_without_outputs += other.edges_without_outputs;
-        self.rows_extracted += other.rows_extracted;
-        self.splits_evaluated += other.splits_evaluated;
-        self.trees_fitted += other.trees_fitted;
-        self.max_tree_depth = self.max_tree_depth.max(other.max_tree_depth);
-        self.learn_nanos += other.learn_nanos;
-    }
+impl Counters for ClassifyMetrics {
+    const NAME: &'static str = "classify";
 
-    /// The counters as `(name, value)` pairs in the stable reporting
-    /// order used by [`to_json`](Self::to_json).
-    pub fn counters(&self) -> [(&'static str, u64); 6] {
-        [
-            ("edges_considered", self.edges_considered),
-            ("edges_without_outputs", self.edges_without_outputs),
-            ("rows_extracted", self.rows_extracted),
-            ("splits_evaluated", self.splits_evaluated),
-            ("trees_fitted", self.trees_fitted),
-            ("max_tree_depth", self.max_tree_depth),
+    // A table, one line per cell, so rustfmt is told to keep out.
+    #[rustfmt::skip]
+    fn cells_mut(&mut self) -> Vec<Cell<&mut u64>> {
+        use Merge::{Max, Sum};
+        let c = "counters";
+        vec![
+            (c, "edges_considered", Sum, &mut self.edges_considered),
+            (c, "edges_without_outputs", Sum, &mut self.edges_without_outputs),
+            (c, "rows_extracted", Sum, &mut self.rows_extracted),
+            (c, "splits_evaluated", Sum, &mut self.splits_evaluated),
+            (c, "trees_fitted", Sum, &mut self.trees_fitted),
+            (c, "max_tree_depth", Max, &mut self.max_tree_depth),
+            ("timers_ns", "learn", Sum, &mut self.learn_nanos),
         ]
-    }
-
-    /// The timers as `(name, nanos)` pairs in reporting order.
-    pub fn timers(&self) -> [(&'static str, u64); 1] {
-        [("learn", self.learn_nanos)]
-    }
-
-    /// Writes the JSON fields `"counters":{…},"timers_ns":{…}` (no
-    /// surrounding braces) so callers can splice sibling fields.
-    pub fn write_json_fields(&self, out: &mut String) {
-        write_json_object(out, "counters", &self.counters());
-        out.push(',');
-        write_json_object(out, "timers_ns", &self.timers());
-    }
-
-    /// Machine-readable JSON report with a stable key order.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        self.write_json_fields(&mut out);
-        out.push('}');
-        out
-    }
-
-    /// Human-readable two-column table of timers and counters.
-    pub fn render_table(&self) -> String {
-        let mut out = String::new();
-        out.push_str("classify timer                time\n");
-        for (name, nanos) in self.timers() {
-            out.push_str(&format!("  {name:<26}  {}\n", format_nanos(nanos)));
-        }
-        out.push_str("classify counter              value\n");
-        for (name, value) in self.counters() {
-            out.push_str(&format!("  {name:<26}  {value}\n"));
-        }
-        out
     }
 }
 
@@ -112,35 +75,6 @@ impl MetricsSink<ClassifyMetrics> for ClassifyMetrics {
 
     fn record(&mut self, update: impl FnOnce(&mut ClassifyMetrics)) {
         update(self);
-    }
-}
-
-fn write_json_object(out: &mut String, name: &str, pairs: &[(&'static str, u64)]) {
-    out.push('"');
-    out.push_str(name);
-    out.push_str("\":{");
-    for (i, (key, value)) in pairs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('"');
-        out.push_str(key);
-        out.push_str("\":");
-        out.push_str(&value.to_string());
-    }
-    out.push('}');
-}
-
-fn format_nanos(nanos: u64) -> String {
-    let ns = nanos as f64;
-    if ns < 1_000.0 {
-        format!("{ns:.0} ns")
-    } else if ns < 1_000_000.0 {
-        format!("{:.1} µs", ns / 1_000.0)
-    } else if ns < 1_000_000_000.0 {
-        format!("{:.1} ms", ns / 1_000_000.0)
-    } else {
-        format!("{:.3} s", ns / 1_000_000_000.0)
     }
 }
 

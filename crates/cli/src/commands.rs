@@ -5,9 +5,10 @@ use crate::args::{parse, ArgError, Parsed};
 use crate::metrics::{record_ingest, registry_from_args, write_metrics, write_metrics_atomic};
 use crate::output::{errln, out, outln};
 use procmine_classify::{ClassifyMetrics, TreeConfig};
+use procmine_core::telemetry::format_nanos;
 use procmine_core::{
     conformance, mine_auto_in, mine_cyclic_in, mine_general_dag_in, mine_special_dag_in, Algorithm,
-    ConformanceMetrics, Counter, Histogram, Lane, MetricsSink, MineSession, MinedModel,
+    ConformanceMetrics, Counter, Counters, Histogram, Lane, MetricsSink, MineSession, MinedModel,
     MinerMetrics, MinerOptions, Registry, StageClock, Tracer,
 };
 use procmine_log::codec::{CodecStats, IngestReport, RecoveryPolicy};
@@ -88,10 +89,11 @@ COMMANDS:
                            not combinable with --follow); with
                            --format xes the log is also decoded in
                            parallel chunks
-      --stats              print pipeline telemetry (stage timings,
-                           counters, codec byte/event tallies; with
-                           --threads also per-stage wall time and
-                           cpu/wall parallel efficiency)
+      --stats              print pipeline telemetry (ingest time,
+                           stage timings, counters, codec byte/event
+                           tallies; with --check also conformance
+                           counters; with --threads also per-stage wall
+                           time and cpu/wall parallel efficiency)
       --stats-json FILE    write the same telemetry as JSON with a
                            stable key order
       --recover            skip undecodable records instead of aborting;
@@ -121,7 +123,7 @@ COMMANDS:
                            verdict)
       --stats              print conformance telemetry (executions
                            checked, violations by variant, closure/SCC
-                           time, codec tallies)
+                           time, codec tallies, ingest time)
       --stats-json FILE    write the same telemetry as JSON
       --trace FILE         write a Chrome Trace Event file of the run
       --metrics FILE       write a metrics export at exit (format by
@@ -230,21 +232,31 @@ fn read_log(path: &str, format: &str) -> Result<WorkflowLog, Box<dyn Error>> {
         path,
         format,
         RecoveryPolicy::Strict,
-        &mut CodecStats::default(),
-        &mut IngestReport::default(),
+        &mut IngestStats::default(),
         session.tracer(),
         session.obs(),
         1,
     )
 }
 
-#[allow(clippy::too_many_arguments)]
+/// What a stats report says about reading the input: the codec
+/// tallies, the ingest report and, for a batch read, the decode's
+/// wall time.
+#[derive(Default)]
+struct IngestStats {
+    codec: CodecStats,
+    report: IngestReport,
+    /// The batch decode interval, the one its `ingest.<format>` span
+    /// and `procmine_ingest_duration_ns` sample record. `None` under
+    /// `--follow`, where decoding interleaves with mining.
+    nanos: Option<u64>,
+}
+
 fn read_log_with(
     path: &str,
     format: &str,
     policy: RecoveryPolicy,
-    stats: &mut CodecStats,
-    report: &mut IngestReport,
+    ingest: &mut IngestStats,
     tracer: &Tracer,
     reg: &Registry,
     threads: usize,
@@ -260,7 +272,14 @@ fn read_log_with(
         "xes" => "ingest.xes",
         other => return Err(format!("unknown log format `{other}`").into()),
     };
+    let IngestStats {
+        codec: stats,
+        report,
+        nanos,
+    } = ingest;
     let (bytes_before, events_before) = (stats.bytes_read, stats.events_parsed);
+    // The stats report always carries the ingest time, so the clock is
+    // read whatever the trace and registry views say.
     let clock = StageClock::start(
         tracer,
         span_name,
@@ -270,7 +289,7 @@ fn read_log_with(
             "Wall-clock time spent decoding one input log, in nanoseconds.",
             &[("format", format)],
         ),
-        false,
+        true,
     );
     let reader = BufReader::new(File::open(path)?);
     let log = match format {
@@ -286,7 +305,7 @@ fn read_log_with(
         "xes" => codec::xes::read_log_with(reader, policy, stats, report)?,
         other => return Err(format!("unknown log format `{other}`").into()),
     };
-    clock.stop();
+    *nanos = clock.stop();
     if reg.is_enabled() {
         record_ingest(
             reg,
@@ -576,54 +595,79 @@ fn write_model_artifacts(p: &Parsed, model: &MinedModel) -> CliResult {
     Ok(())
 }
 
-/// Prints the tracer's dropped-span count under `--stats` — silence
-/// here would read as "the trace is complete" when the ring buffer
-/// wrapped.
-fn report_dropped_spans(tracer: &Tracer) {
-    if tracer.dropped_spans() > 0 {
-        outln!(
-            "trace: {} span(s) dropped at capacity (raise the tracer buffer or trace less)",
-            tracer.dropped_spans()
-        );
+/// One metrics record as a stats report shows it: its name, its JSON
+/// fields and its table.
+struct StatsRecord {
+    name: &'static str,
+    json_fields: String,
+    table: String,
+}
+
+impl StatsRecord {
+    fn of<C: Counters>(record: &C) -> Self {
+        let mut json_fields = String::new();
+        record.write_json_fields(&mut json_fields);
+        StatsRecord {
+            name: C::NAME,
+            json_fields,
+            table: record.render_table(),
+        }
     }
 }
 
-/// The `"trace":{"dropped_spans":N}` fragment every `--stats-json`
-/// report carries (0 when tracing is disabled).
-fn trace_json_fragment(tracer: &Tracer) -> String {
-    format!("\"trace\":{{\"dropped_spans\":{}}}", tracer.dropped_spans())
-}
-
-/// The `--stats` / `--stats-json` telemetry reporting shared by batch
-/// and follow mining (same shape and key order for both paths).
-fn report_mine_stats(
+/// The `--stats` table and the `--stats-json` file of every command
+/// (batch and follow `mine`, `check`, `conditions`): the ingest
+/// figures, then the `primary` record's fields at the top level, then
+/// each `nested` record under its name, then the tracer's dropped-span
+/// count.
+fn report_stats(
     p: &Parsed,
-    codec_stats: &CodecStats,
-    ingest: &IngestReport,
-    metrics: &MinerMetrics,
+    ingest: &IngestStats,
     tracer: &Tracer,
+    primary: StatsRecord,
+    nested: &[StatsRecord],
 ) -> CliResult {
+    let codec = &ingest.codec;
     if p.has("stats") {
         outln!(
             "codec: {} bytes read, {} events parsed, {} executions parsed",
-            codec_stats.bytes_read,
-            codec_stats.events_parsed,
-            codec_stats.executions_parsed
+            codec.bytes_read,
+            codec.events_parsed,
+            codec.executions_parsed
         );
-        out!("{}", metrics.render_table());
-        report_dropped_spans(tracer);
+        if let Some(nanos) = ingest.nanos {
+            outln!("ingest: {}", format_nanos(nanos));
+        }
+        for record in std::iter::once(&primary).chain(nested) {
+            out!("{}", record.table);
+        }
+        // Silence here would read as "the trace is complete" when the
+        // ring buffer wrapped.
+        if tracer.dropped_spans() > 0 {
+            outln!(
+                "trace: {} span(s) dropped at capacity (raise the tracer buffer or trace less)",
+                tracer.dropped_spans()
+            );
+        }
     }
     if let Some(stats_path) = p.get("stats-json") {
-        let mut out = String::from("{\"codec\":");
-        out.push_str(&codec_stats.to_json());
-        out.push_str(",\"ingest\":");
-        out.push_str(&ingest.to_json());
+        let mut out = format!(
+            "{{\"codec\":{},\"ingest\":{}",
+            codec.to_json(),
+            ingest.report.to_json()
+        );
+        if let Some(nanos) = ingest.nanos {
+            out.push_str(&format!(",\"ingest_ns\":{nanos}"));
+        }
         out.push(',');
-        metrics.write_json_fields(&mut out);
-        out.push(',');
-        out.push_str(&trace_json_fragment(tracer));
-        out.push('}');
-        out.push('\n');
+        out.push_str(&primary.json_fields);
+        for record in nested {
+            out.push_str(&format!(",\"{}\":{{{}}}", record.name, record.json_fields));
+        }
+        out.push_str(&format!(
+            ",\"trace\":{{\"dropped_spans\":{}}}}}\n",
+            tracer.dropped_spans()
+        ));
         std::fs::write(stats_path, out)?;
         errln!("wrote {stats_path}");
     }
@@ -1192,12 +1236,15 @@ fn mine_follow(p: &Parsed) -> CliResult {
         }
         Ok(())
     })();
-    let mut codec_stats = base_source.stats;
-    codec_stats.merge(&source.stats());
-    let mut ingest = base_source.report.clone();
-    ingest.merge(source.report());
-    ingest.merge(assembler.report());
-    codec_stats.executions_parsed = assembler.executions_emitted();
+    let mut ingest = IngestStats {
+        codec: base_source.stats,
+        report: base_source.report.clone(),
+        nanos: None,
+    };
+    ingest.codec.merge(&source.stats());
+    ingest.report.merge(source.report());
+    ingest.report.merge(assembler.report());
+    ingest.codec.executions_parsed = assembler.executions_emitted();
     // Final health refresh so the exit export reflects the end state.
     if reg.is_enabled() {
         let miner = &*assembler.observer().miner;
@@ -1210,7 +1257,7 @@ fn mine_follow(p: &Parsed) -> CliResult {
             &FollowHealth {
                 open_cases: assembler.open_cases(),
                 max_open_cases,
-                cases_evicted: ingest.cases_evicted,
+                cases_evicted: ingest.report.cases_evicted,
                 events_absorbed: absorbed,
                 snapshots_taken: taken,
                 snapshot_age_events: absorbed - snap_seen.1,
@@ -1224,16 +1271,16 @@ fn mine_follow(p: &Parsed) -> CliResult {
     drop(assembler);
     drop(follow_span);
     if let Err(e) = pumped {
-        report_ingest(&ingest, policy);
+        report_ingest(&ingest.report, policy);
         return Err(e);
     }
     if skipped > 0 {
         errln!("followed with {skipped} case(s) skipped");
     }
-    if ingest.cases_evicted > 0 {
+    if ingest.report.cases_evicted > 0 {
         errln!(
             "warning: {} incomplete open case(s) evicted by the --max-open-cases {} window",
-            ingest.cases_evicted,
+            ingest.report.cases_evicted,
             max_open_cases
         );
     }
@@ -1241,7 +1288,7 @@ fn mine_follow(p: &Parsed) -> CliResult {
     let executions = miner.executions();
     let model = miner.snapshot_in(&mut session)?;
     drop(session);
-    report_ingest(&ingest, policy);
+    report_ingest(&ingest.report, policy);
     let elapsed = started.elapsed();
 
     outln!(
@@ -1258,7 +1305,7 @@ fn mine_follow(p: &Parsed) -> CliResult {
     print_model_analytics(&model);
 
     write_model_artifacts(p, &model)?;
-    report_mine_stats(p, &codec_stats, &ingest, &metrics, &tracer)?;
+    report_stats(p, &ingest, &tracer, StatsRecord::of(&metrics), &[])?;
     write_trace(&tracer, p)?;
     write_metrics(&reg, p)?;
     Ok(())
@@ -1318,8 +1365,7 @@ fn mine(argv: &[String]) -> CliResult {
     let reg = registry_from_args(&p);
     let base = session_from_args(&p, &reg).with_threads(threads.max(1));
     let tracer = base.tracer().clone();
-    let mut codec_stats = CodecStats::default();
-    let mut ingest = IngestReport::default();
+    let mut ingest = IngestStats::default();
     let mut metrics = MinerMetrics::new();
     let mut session = base.with_sink(&mut metrics);
     let started = std::time::Instant::now();
@@ -1328,7 +1374,6 @@ fn mine(argv: &[String]) -> CliResult {
         path,
         format,
         policy,
-        &mut codec_stats,
         &mut ingest,
         &tracer,
         &reg,
@@ -1336,7 +1381,7 @@ fn mine(argv: &[String]) -> CliResult {
     )?;
     let (model, algorithm) = mine_with(&p, &mut session, &log)?;
     drop(session);
-    report_ingest(&ingest, policy);
+    report_ingest(&ingest.report, policy);
     let elapsed = started.elapsed();
 
     outln!(
@@ -1378,13 +1423,17 @@ fn mine(argv: &[String]) -> CliResult {
         )?;
         errln!("wrote {bpmn_path}");
     }
-    report_mine_stats(&p, &codec_stats, &ingest, &metrics, &tracer)?;
     let mut check_failed = false;
+    let mut nested = Vec::new();
     if p.has("check") {
+        let mut conformance_metrics = ConformanceMetrics::new();
         let mut session = MineSession::new()
             .with_tracer(tracer.clone())
-            .with_obs(reg.clone());
+            .with_obs(reg.clone())
+            .with_sink(&mut conformance_metrics);
         let report = conformance::check_conformance_in(&mut session, &model, &log);
+        drop(session);
+        nested.push(StatsRecord::of(&conformance_metrics));
         if report.is_conformal() {
             outln!("conformance: OK (dependency-complete, irredundant, execution-complete)");
         } else {
@@ -1404,6 +1453,7 @@ fn mine(argv: &[String]) -> CliResult {
             check_failed = true;
         }
     }
+    report_stats(&p, &ingest, &tracer, StatsRecord::of(&metrics), &nested)?;
     write_trace(&tracer, &p)?;
     write_metrics(&reg, &p)?;
     if check_failed {
@@ -1427,47 +1477,14 @@ fn check(argv: &[String]) -> CliResult {
     let reg = registry_from_args(&p);
     let base = session_from_args(&p, &reg);
     let tracer = base.tracer().clone();
-    let mut codec_stats = CodecStats::default();
-    let mut ingest = IngestReport::default();
-    let log = read_log_with(
-        log_path,
-        format,
-        policy,
-        &mut codec_stats,
-        &mut ingest,
-        &tracer,
-        &reg,
-        1,
-    )?;
-    report_ingest(&ingest, policy);
+    let mut ingest = IngestStats::default();
+    let log = read_log_with(log_path, format, policy, &mut ingest, &tracer, &reg, 1)?;
+    report_ingest(&ingest.report, policy);
     let mut metrics = ConformanceMetrics::new();
     let mut session = base.with_sink(&mut metrics);
     let report = conformance::check_conformance_in(&mut session, &model, &log);
     drop(session);
-    if p.has("stats") {
-        outln!(
-            "codec: {} bytes read, {} events parsed, {} executions parsed",
-            codec_stats.bytes_read,
-            codec_stats.events_parsed,
-            codec_stats.executions_parsed
-        );
-        out!("{}", metrics.render_table());
-        report_dropped_spans(&tracer);
-    }
-    if let Some(stats_path) = p.get("stats-json") {
-        let mut out = String::from("{\"codec\":");
-        out.push_str(&codec_stats.to_json());
-        out.push_str(",\"ingest\":");
-        out.push_str(&ingest.to_json());
-        out.push(',');
-        metrics.write_json_fields(&mut out);
-        out.push(',');
-        out.push_str(&trace_json_fragment(&tracer));
-        out.push('}');
-        out.push('\n');
-        std::fs::write(stats_path, out)?;
-        errln!("wrote {stats_path}");
-    }
+    report_stats(&p, &ingest, &tracer, StatsRecord::of(&metrics), &[])?;
     write_trace(&tracer, &p)?;
     write_metrics(&reg, &p)?;
     if p.has("json") {
@@ -1521,20 +1538,10 @@ fn conditions(argv: &[String]) -> CliResult {
     let reg = registry_from_args(&p);
     let base = session_from_args(&p, &reg);
     let tracer = base.tracer().clone();
-    let mut codec_stats = CodecStats::default();
-    let mut ingest = IngestReport::default();
+    let mut ingest = IngestStats::default();
     let format = p.get("format").unwrap_or("flowmark");
-    let log = read_log_with(
-        path,
-        format,
-        policy,
-        &mut codec_stats,
-        &mut ingest,
-        &tracer,
-        &reg,
-        1,
-    )?;
-    report_ingest(&ingest, policy);
+    let log = read_log_with(path, format, policy, &mut ingest, &tracer, &reg, 1)?;
+    report_ingest(&ingest.report, policy);
     let mut miner_metrics = MinerMetrics::new();
     let mut session = base.with_sink(&mut miner_metrics);
     let (model, _) = mine_with(&p, &mut session, &log)?;
@@ -1550,33 +1557,13 @@ fn conditions(argv: &[String]) -> CliResult {
         .with_sink(&mut classify_metrics);
     let learned = procmine_classify::learn_edge_conditions_in(&mut session, &model, &log, &cfg);
     drop(session);
-    if p.has("stats") {
-        outln!(
-            "codec: {} bytes read, {} events parsed, {} executions parsed",
-            codec_stats.bytes_read,
-            codec_stats.events_parsed,
-            codec_stats.executions_parsed
-        );
-        out!("{}", miner_metrics.render_table());
-        out!("{}", classify_metrics.render_table());
-        report_dropped_spans(&tracer);
-    }
-    if let Some(stats_path) = p.get("stats-json") {
-        let mut out = String::from("{\"codec\":");
-        out.push_str(&codec_stats.to_json());
-        out.push_str(",\"ingest\":");
-        out.push_str(&ingest.to_json());
-        out.push(',');
-        miner_metrics.write_json_fields(&mut out);
-        out.push_str(",\"classify\":");
-        out.push_str(&classify_metrics.to_json());
-        out.push(',');
-        out.push_str(&trace_json_fragment(&tracer));
-        out.push('}');
-        out.push('\n');
-        std::fs::write(stats_path, out)?;
-        errln!("wrote {stats_path}");
-    }
+    report_stats(
+        &p,
+        &ingest,
+        &tracer,
+        StatsRecord::of(&miner_metrics),
+        &[StatsRecord::of(&classify_metrics)],
+    )?;
     for c in &learned {
         outln!(
             "{} -> {}   [{} taken / {} not, accuracy {:.2}]",

@@ -2186,3 +2186,116 @@ fn stats_trace_and_metrics_report_the_same_stage_intervals() {
         assert_eq!(timer, span_sum(&spans, name, true), "conformance `{name}`");
     }
 }
+
+#[test]
+fn stats_trace_and_metrics_report_the_same_ingest_interval() {
+    let dir = tmpdir("one-clock-ingest");
+    let log = dir.join("log.fm");
+    let (stats, trace, metrics) = (
+        dir.join("stats.json"),
+        dir.join("trace.json"),
+        dir.join("metrics.json"),
+    );
+    generate_log(&log, "200", "29");
+    let out = procmine(&[
+        "mine",
+        log.to_str().unwrap(),
+        "--stats",
+        "--stats-json",
+        stats.to_str().unwrap(),
+        "--trace",
+        trace.to_str().unwrap(),
+        "--metrics",
+        metrics.to_str().unwrap(),
+    ]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = String::from_utf8(out.stdout).unwrap();
+    assert!(text.contains("\ningest: "), "{text}");
+
+    let stats = read_json(&stats);
+    let ingest_ns = stats
+        .get("ingest_ns")
+        .and_then(serde_json::Value::as_u64)
+        .expect("ingest_ns");
+    assert!(ingest_ns > 0);
+    let spans = trace_spans(&trace);
+    assert_eq!(ingest_ns, span_sum(&spans, "ingest.flowmark", true));
+
+    let metrics = read_json(&metrics);
+    let Some(serde_json::Value::Seq(families)) = metrics.get("metrics") else {
+        panic!("metrics array missing");
+    };
+    let family = families
+        .iter()
+        .find(|f| matches!(f.get("name"), Some(serde_json::Value::Str(n)) if n == "procmine_ingest_duration_ns"))
+        .expect("ingest duration family");
+    let Some(serde_json::Value::Seq(series)) = family.get("series") else {
+        panic!("series missing");
+    };
+    let flowmark = series
+        .iter()
+        .find(|s| {
+            s.get("labels").and_then(|l| l.get("format"))
+                == Some(&serde_json::Value::Str("flowmark".to_string()))
+        })
+        .expect("flowmark series");
+    assert_eq!(
+        flowmark.get("sum").and_then(serde_json::Value::as_u64),
+        Some(ingest_ns)
+    );
+}
+
+#[test]
+fn mine_check_stats_nest_the_conformance_record() {
+    let dir = tmpdir("mine-check-stats");
+    let log = dir.join("log.fm");
+    let stats = dir.join("stats.json");
+    generate_log(&log, "120", "31");
+    let out = procmine(&[
+        "mine",
+        log.to_str().unwrap(),
+        "--check",
+        "--stats",
+        "--stats-json",
+        stats.to_str().unwrap(),
+    ]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = String::from_utf8(out.stdout).unwrap();
+    let verdict = text.find("conformance: OK").expect("verdict line");
+    let table = text.find("conformance counter").expect("conformance table");
+    assert!(verdict < table, "stats are written after the check: {text}");
+
+    let json = read_json(&stats);
+    let conformance = json.get("conformance").expect("conformance object");
+    assert_eq!(
+        conformance
+            .get("counters")
+            .and_then(|c| c.get("executions_checked"))
+            .and_then(serde_json::Value::as_u64),
+        Some(120)
+    );
+    for timer in ["closure", "scc", "execution_checks"] {
+        assert!(
+            conformance
+                .get("timers_ns")
+                .and_then(|t| t.get(timer))
+                .is_some(),
+            "missing conformance timer {timer}"
+        );
+    }
+    assert_eq!(
+        json.get("counters")
+            .and_then(|c| c.get("executions_scanned"))
+            .and_then(serde_json::Value::as_u64),
+        Some(120),
+        "the miner record stays at the top level"
+    );
+}

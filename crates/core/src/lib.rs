@@ -96,5 +96,5 @@ pub use online::{OnlineMiner, SnapshotPolicy};
 pub use parallel::mine_general_dag_parallel;
 pub use session::MineSession;
 pub use special_dag::{mine_special_dag, mine_special_dag_in};
-pub use telemetry::{ConformanceMetrics, MetricsSink, MinerMetrics, NullSink, Stage};
+pub use telemetry::{ConformanceMetrics, Counters, MetricsSink, MinerMetrics, NullSink, Stage};
 pub use trace::{Lane, SpanGuard, SpanRecord, TraceBuffer, Tracer};

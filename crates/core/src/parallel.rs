@@ -28,7 +28,7 @@ use crate::general_dag::{
 use crate::limits::Deadline;
 use crate::obs::{Histogram, Registry};
 use crate::session::{run_barrier, MineSession};
-use crate::telemetry::{MetricsSink, MinerMetrics, Stage};
+use crate::telemetry::{Counters, MetricsSink, MinerMetrics, Stage};
 use crate::trace::Tracer;
 use crate::{MineError, MinedModel, MinerOptions};
 use procmine_graph::{AdjMatrix, ArenaStats};

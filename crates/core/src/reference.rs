@@ -5,7 +5,7 @@
 //! (see `general_dag`). This module preserves the pre-columnar data
 //! path — one `Vec<(vertex, start, end)>` per execution, per-execution
 //! `Vec<BitSet>` scratch — exactly as it shipped, so the differential
-//! test suite (and the perfsuite `mine.columnar_ratio` cell) can pin
+//! test suite (and the perfsuite `mine.legacy` cell) can pin
 //! the columnar path's mined models, edge supports, and counters to it.
 //! Same precedent as `codec::xes_reference` in `procmine-log`.
 //!

@@ -31,12 +31,14 @@
 //! its own metrics type against the same trait. [`NullSink`] disables
 //! all of them.
 //!
-//! [`MinerMetrics::to_json`] renders a machine-readable report with a
-//! stable key order (locked by a unit test, so downstream golden tests
-//! can depend on it); [`MinerMetrics::render_table`] renders the same
-//! data as a human-readable table. Codec-level byte/event counts live
-//! in `procmine_log::codec::CodecStats` (the log crate cannot depend on
-//! this one); the CLI merges both reports.
+//! Every metrics type implements [`Counters`]: it lists its cells once,
+//! as `(section, name, merge rule, value)`, and merging, the JSON report
+//! ([`Counters::to_json`], with a stable key order locked by a unit test
+//! per type, so downstream golden tests can depend on it) and the
+//! human-readable table ([`Counters::render_table`]) are built from that
+//! list. Codec-level byte/event counts live in
+//! `procmine_log::codec::CodecStats` (the log crate cannot depend on
+//! this one); the CLI merges both into one report.
 
 use std::fmt;
 
@@ -177,50 +179,6 @@ impl MinerMetrics {
         self.wall_nanos[stage as usize]
     }
 
-    /// Folds another metrics value into this one (all counters and
-    /// timers add). Used to merge per-thread metrics at the parallel
-    /// miner's join barriers.
-    pub fn merge(&mut self, other: &MinerMetrics) {
-        for (t, o) in self.stage_nanos.iter_mut().zip(other.stage_nanos) {
-            *t += o;
-        }
-        for (t, o) in self.wall_nanos.iter_mut().zip(other.wall_nanos) {
-            *t += o;
-        }
-        self.executions_scanned += other.executions_scanned;
-        self.pairs_counted += other.pairs_counted;
-        self.edges_before_threshold += other.edges_before_threshold;
-        self.edges_after_threshold += other.edges_after_threshold;
-        self.two_cycles_dissolved += other.two_cycles_dissolved;
-        self.scc_count += other.scc_count;
-        self.edges_dropped_by_reduction += other.edges_dropped_by_reduction;
-        self.edges_final += other.edges_final;
-        self.arena_bytes += other.arena_bytes;
-        self.arena_resets += other.arena_resets;
-        self.arena_high_water_bytes = self
-            .arena_high_water_bytes
-            .max(other.arena_high_water_bytes);
-    }
-
-    /// The counters as `(name, value)` pairs in the stable reporting
-    /// order used by [`to_json`](Self::to_json) — the single source of
-    /// truth for the JSON schema.
-    pub fn counters(&self) -> [(&'static str, u64); 8] {
-        [
-            ("executions_scanned", self.executions_scanned),
-            ("pairs_counted", self.pairs_counted),
-            ("edges_before_threshold", self.edges_before_threshold),
-            ("edges_after_threshold", self.edges_after_threshold),
-            ("two_cycles_dissolved", self.two_cycles_dissolved),
-            ("scc_count", self.scc_count),
-            (
-                "edges_dropped_by_reduction",
-                self.edges_dropped_by_reduction,
-            ),
-            ("edges_final", self.edges_final),
-        ]
-    }
-
     /// The CPU stage timers as `(name, nanos)` pairs in reporting order.
     pub fn stages(&self) -> [(&'static str, u64); Stage::COUNT] {
         Stage::ALL.map(|s| (s.name(), self.stage_nanos(s)))
@@ -231,44 +189,44 @@ impl MinerMetrics {
     pub fn stages_wall(&self) -> [(&'static str, u64); Stage::COUNT] {
         Stage::ALL.map(|s| (s.name(), self.wall_nanos(s)))
     }
+}
 
-    /// The arena-telemetry fields as `(name, value)` pairs in the
-    /// stable order of the `"arena"` JSON section.
-    pub fn arena_counters(&self) -> [(&'static str, u64); 3] {
-        [
-            ("bytes", self.arena_bytes),
-            ("resets", self.arena_resets),
-            ("high_water_bytes", self.arena_high_water_bytes),
-        ]
+impl Counters for MinerMetrics {
+    const NAME: &'static str = "miner";
+
+    // A table, one line per cell, so rustfmt is told to keep out.
+    #[rustfmt::skip]
+    fn cells_mut(&mut self) -> Vec<Cell<&mut u64>> {
+        use Merge::{Max, Sum};
+        let c = "counters";
+        let mut cells = vec![
+            (c, "executions_scanned", Sum, &mut self.executions_scanned),
+            (c, "pairs_counted", Sum, &mut self.pairs_counted),
+            (c, "edges_before_threshold", Sum, &mut self.edges_before_threshold),
+            (c, "edges_after_threshold", Sum, &mut self.edges_after_threshold),
+            (c, "two_cycles_dissolved", Sum, &mut self.two_cycles_dissolved),
+            (c, "scc_count", Sum, &mut self.scc_count),
+            (c, "edges_dropped_by_reduction", Sum, &mut self.edges_dropped_by_reduction),
+            (c, "edges_final", Sum, &mut self.edges_final),
+        ];
+        for (section, timers) in [
+            ("stages_ns", &mut self.stage_nanos),
+            ("stages_wall_ns", &mut self.wall_nanos),
+        ] {
+            cells.extend(Stage::ALL.iter().zip(timers).map(|(s, v)| (section, s.name(), Sum, v)));
+        }
+        cells.extend([
+            ("arena", "bytes", Sum, &mut self.arena_bytes),
+            ("arena", "resets", Sum, &mut self.arena_resets),
+            ("arena", "high_water_bytes", Max, &mut self.arena_high_water_bytes),
+        ]);
+        cells
     }
 
-    /// Writes the JSON fields
-    /// `"counters":{…},"stages_ns":{…},"stages_wall_ns":{…},"arena":{…}`
-    /// (no surrounding braces) so callers can splice additional sibling
-    /// fields — the CLI prepends its codec stats.
-    pub fn write_json_fields(&self, out: &mut String) {
-        write_json_object(out, "counters", &self.counters());
-        out.push(',');
-        write_json_object(out, "stages_ns", &self.stages());
-        out.push(',');
-        write_json_object(out, "stages_wall_ns", &self.stages_wall());
-        out.push(',');
-        write_json_object(out, "arena", &self.arena_counters());
-    }
-
-    /// Machine-readable JSON report with a stable key order (suitable
-    /// for golden tests, modulo the timing values).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        self.write_json_fields(&mut out);
-        out.push('}');
-        out
-    }
-
-    /// Human-readable table of stages (CPU time, wall time, parallel
-    /// efficiency) and counters. The wall and efficiency columns show
-    /// `-` for stages no barrier timer measured (serial stages).
-    pub fn render_table(&self) -> String {
+    /// Stages (CPU time, wall time, parallel efficiency), then the
+    /// counters. The wall and efficiency columns show `-` for stages no
+    /// barrier timer measured (serial stages).
+    fn render_table(&self) -> String {
         let mut out = String::new();
         out.push_str("stage                         cpu         wall        cpu/wall\n");
         for ((name, cpu), (_, wall)) in self.stages().iter().zip(self.stages_wall()) {
@@ -285,30 +243,9 @@ impl MinerMetrics {
                 format_nanos(*cpu)
             ));
         }
-        out.push_str("counter                       value\n");
-        for (name, value) in self.counters() {
-            out.push_str(&format!("  {name:<26}  {value}\n"));
-        }
+        out.push_str(&self.render_section("counters", "counter"));
         out
     }
-}
-
-/// Writes one `"name":{"key":value,…}` JSON object (shared by the
-/// metrics types' `write_json_fields`).
-fn write_json_object(out: &mut String, name: &str, pairs: &[(&'static str, u64)]) {
-    out.push('"');
-    out.push_str(name);
-    out.push_str("\":{");
-    for (i, (key, value)) in pairs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('"');
-        out.push_str(key);
-        out.push_str("\":");
-        out.push_str(&value.to_string());
-    }
-    out.push('}');
 }
 
 impl fmt::Display for MinerMetrics {
@@ -317,7 +254,136 @@ impl fmt::Display for MinerMetrics {
     }
 }
 
-fn format_nanos(nanos: u64) -> String {
+/// How one cell of two records combines when they [merge](Counters::merge).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Merge {
+    /// The values add: counters and timers.
+    Sum,
+    /// The larger value wins: depths and high-water marks.
+    Max,
+}
+
+/// One reported value of a metrics record: `(section, name, merge rule,
+/// value)`. The section is the JSON object the value sits in, the name
+/// its key there. [`Counters::cells_mut`] hands out the value as
+/// `&mut u64`; [`Counters::cells`] copies it out.
+pub type Cell<V = u64> = (&'static str, &'static str, Merge, V);
+
+/// A metrics record that declares its cells once.
+///
+/// The one required method lists every cell in reporting order; merging,
+/// the JSON report and the human-readable table are all built from that
+/// list, so a new counter is one line in its type's [`cells_mut`] and
+/// shows up everywhere at once. Cells of one section must be listed
+/// together. Sections ending in `_ns` hold nanosecond timers, rendered
+/// as durations in the table.
+///
+/// [`cells_mut`]: Counters::cells_mut
+pub trait Counters: Clone {
+    /// The record's name: the key it nests under in a report that
+    /// carries several records, and the prefix of its table headers.
+    const NAME: &'static str;
+
+    /// Every cell in reporting order, each with a handle on its field.
+    fn cells_mut(&mut self) -> Vec<Cell<&mut u64>>;
+
+    /// Every cell in reporting order, with its current value.
+    fn cells(&self) -> Vec<Cell> {
+        let mut copy = self.clone();
+        let cells = copy.cells_mut();
+        cells
+            .into_iter()
+            .map(|(s, n, m, v)| (s, n, m, *v))
+            .collect()
+    }
+
+    /// One section's cells as `(name, value)` pairs in reporting order.
+    fn section(&self, section: &str) -> Vec<(&'static str, u64)> {
+        let cells = self.cells().into_iter();
+        cells
+            .filter(|c| c.0 == section)
+            .map(|(_, n, _, v)| (n, v))
+            .collect()
+    }
+
+    /// The `"counters"` section as `(name, value)` pairs.
+    fn counters(&self) -> Vec<(&'static str, u64)> {
+        self.section("counters")
+    }
+
+    /// Folds another record into this one, cell by cell under each
+    /// cell's [`Merge`] rule. Used to merge per-thread metrics at the
+    /// parallel miner's join barriers.
+    fn merge(&mut self, other: &Self) {
+        let theirs = other.cells();
+        for ((.., merge, mine), (.., value)) in self.cells_mut().into_iter().zip(theirs) {
+            *mine = match merge {
+                Merge::Sum => *mine + value,
+                Merge::Max => (*mine).max(value),
+            };
+        }
+    }
+
+    /// Writes the JSON fields `"section":{"name":value,…},…` (no
+    /// surrounding braces), one object per section in reporting order,
+    /// so callers can splice sibling fields around them.
+    fn write_json_fields(&self, out: &mut String) {
+        let mut open: Option<&str> = None;
+        for (section, name, _, value) in self.cells() {
+            if open == Some(section) {
+                out.push(',');
+            } else {
+                if open.is_some() {
+                    out.push_str("},");
+                }
+                out.push_str(&format!("\"{section}\":{{"));
+                open = Some(section);
+            }
+            out.push_str(&format!("\"{name}\":{value}"));
+        }
+        if open.is_some() {
+            out.push('}');
+        }
+    }
+
+    /// Machine-readable JSON report with a stable key order (suitable
+    /// for golden tests, modulo the timing values).
+    fn to_json(&self) -> String {
+        let mut out = String::from("{");
+        self.write_json_fields(&mut out);
+        out.push('}');
+        out
+    }
+
+    /// One section as a two-column table under `title`: timers as
+    /// durations, everything else as plain values.
+    fn render_section(&self, section: &str, title: &str) -> String {
+        let timers = section.ends_with("_ns");
+        let mut out = format!("{title:<30}{}\n", if timers { "time" } else { "value" });
+        for (name, value) in self.section(section) {
+            let value = if timers {
+                format_nanos(value)
+            } else {
+                value.to_string()
+            };
+            out.push_str(&format!("  {name:<26}  {value}\n"));
+        }
+        out
+    }
+
+    /// Human-readable table: the `timers_ns` section, then the
+    /// `counters` section, headed by the record's [`NAME`](Self::NAME).
+    fn render_table(&self) -> String {
+        let name = Self::NAME;
+        let mut out = self.render_section("timers_ns", &format!("{name} timer"));
+        out.push_str(&self.render_section("counters", &format!("{name} counter")));
+        out
+    }
+}
+
+/// A duration for a human reader: ns, µs, ms or s, whichever keeps the
+/// number short.
+pub fn format_nanos(nanos: u64) -> String {
     let ns = nanos as f64;
     if ns < 1_000.0 {
         format!("{ns:.0} ns")
@@ -422,108 +488,32 @@ impl ConformanceMetrics {
     pub fn new() -> Self {
         ConformanceMetrics::default()
     }
+}
 
-    /// Folds another metrics value into this one (everything adds).
-    pub fn merge(&mut self, other: &ConformanceMetrics) {
-        for (t, o) in [
-            (&mut self.executions_checked, other.executions_checked),
-            (&mut self.consistent_executions, other.consistent_executions),
-            (
-                &mut self.violations_unknown_activity,
-                other.violations_unknown_activity,
-            ),
-            (
-                &mut self.violations_not_connected,
-                other.violations_not_connected,
-            ),
-            (
-                &mut self.violations_wrong_initiating,
-                other.violations_wrong_initiating,
-            ),
-            (
-                &mut self.violations_wrong_terminating,
-                other.violations_wrong_terminating,
-            ),
-            (
-                &mut self.violations_unreachable,
-                other.violations_unreachable,
-            ),
-            (&mut self.violations_dependency, other.violations_dependency),
-            (&mut self.missing_dependencies, other.missing_dependencies),
-            (&mut self.spurious_dependencies, other.spurious_dependencies),
-            (&mut self.unknown_activities, other.unknown_activities),
-            (&mut self.closure_nanos, other.closure_nanos),
-            (&mut self.scc_nanos, other.scc_nanos),
-            (&mut self.check_nanos, other.check_nanos),
-        ] {
-            *t += o;
-        }
-    }
+impl Counters for ConformanceMetrics {
+    const NAME: &'static str = "conformance";
 
-    /// The counters as `(name, value)` pairs in the stable reporting
-    /// order used by [`to_json`](Self::to_json).
-    pub fn counters(&self) -> [(&'static str, u64); 11] {
-        [
-            ("executions_checked", self.executions_checked),
-            ("consistent_executions", self.consistent_executions),
-            (
-                "violations_unknown_activity",
-                self.violations_unknown_activity,
-            ),
-            ("violations_not_connected", self.violations_not_connected),
-            (
-                "violations_wrong_initiating",
-                self.violations_wrong_initiating,
-            ),
-            (
-                "violations_wrong_terminating",
-                self.violations_wrong_terminating,
-            ),
-            ("violations_unreachable", self.violations_unreachable),
-            ("violations_dependency", self.violations_dependency),
-            ("missing_dependencies", self.missing_dependencies),
-            ("spurious_dependencies", self.spurious_dependencies),
-            ("unknown_activities", self.unknown_activities),
+    // A table, one line per cell, so rustfmt is told to keep out.
+    #[rustfmt::skip]
+    fn cells_mut(&mut self) -> Vec<Cell<&mut u64>> {
+        use Merge::Sum;
+        let (c, t) = ("counters", "timers_ns");
+        vec![
+            (c, "executions_checked", Sum, &mut self.executions_checked),
+            (c, "consistent_executions", Sum, &mut self.consistent_executions),
+            (c, "violations_unknown_activity", Sum, &mut self.violations_unknown_activity),
+            (c, "violations_not_connected", Sum, &mut self.violations_not_connected),
+            (c, "violations_wrong_initiating", Sum, &mut self.violations_wrong_initiating),
+            (c, "violations_wrong_terminating", Sum, &mut self.violations_wrong_terminating),
+            (c, "violations_unreachable", Sum, &mut self.violations_unreachable),
+            (c, "violations_dependency", Sum, &mut self.violations_dependency),
+            (c, "missing_dependencies", Sum, &mut self.missing_dependencies),
+            (c, "spurious_dependencies", Sum, &mut self.spurious_dependencies),
+            (c, "unknown_activities", Sum, &mut self.unknown_activities),
+            (t, "closure", Sum, &mut self.closure_nanos),
+            (t, "scc", Sum, &mut self.scc_nanos),
+            (t, "execution_checks", Sum, &mut self.check_nanos),
         ]
-    }
-
-    /// The timers as `(name, nanos)` pairs in reporting order.
-    pub fn timers(&self) -> [(&'static str, u64); 3] {
-        [
-            ("closure", self.closure_nanos),
-            ("scc", self.scc_nanos),
-            ("execution_checks", self.check_nanos),
-        ]
-    }
-
-    /// Writes the JSON fields `"counters":{…},"timers_ns":{…}` (no
-    /// surrounding braces) so callers can splice sibling fields.
-    pub fn write_json_fields(&self, out: &mut String) {
-        write_json_object(out, "counters", &self.counters());
-        out.push(',');
-        write_json_object(out, "timers_ns", &self.timers());
-    }
-
-    /// Machine-readable JSON report with a stable key order.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        self.write_json_fields(&mut out);
-        out.push('}');
-        out
-    }
-
-    /// Human-readable two-column table of timers and counters.
-    pub fn render_table(&self) -> String {
-        let mut out = String::new();
-        out.push_str("conformance timer             time\n");
-        for (name, nanos) in self.timers() {
-            out.push_str(&format!("  {name:<26}  {}\n", format_nanos(nanos)));
-        }
-        out.push_str("conformance counter           value\n");
-        for (name, value) in self.counters() {
-            out.push_str(&format!("  {name:<26}  {value}\n"));
-        }
-        out
     }
 }
 

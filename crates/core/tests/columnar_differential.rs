@@ -20,8 +20,8 @@ use procmine_core::reference::{
     mine_auto_reference, mine_cyclic_reference, mine_general_reference, mine_special_reference,
 };
 use procmine_core::{
-    mine_auto_in, mine_cyclic_in, mine_general_dag_in, mine_special_dag_in, IncrementalMiner,
-    MineSession, MinedModel, MinerMetrics, MinerOptions,
+    mine_auto_in, mine_cyclic_in, mine_general_dag_in, mine_special_dag_in, Counters,
+    IncrementalMiner, MineSession, MinedModel, MinerMetrics, MinerOptions,
 };
 use procmine_log::{ActivityInstance, Execution, WorkflowLog};
 use proptest::prelude::*;

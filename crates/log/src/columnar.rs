@@ -7,15 +7,10 @@
 //! into four parallel arrays — activity ids, start times, end times,
 //! and a CSR-style offsets array delimiting executions — so those scans
 //! run over contiguous buffers with no per-execution indirection.
-//!
-//! [`CompactLog`] bundles the columns with everything the row layout
-//! carries that the miners do not need per-event (the activity table,
-//! execution ids, sparse output vectors), making the conversion
-//! lossless in both directions: `CompactLog::from_log(&log).to_log()`
-//! reproduces the original log exactly, so codecs and the streaming
-//! case assembler keep operating on [`WorkflowLog`] unchanged.
+//! Columns carry only what the miners read per event; codecs and the
+//! streaming case assembler keep operating on [`WorkflowLog`].
 
-use crate::{ActivityId, ActivityInstance, ActivityTable, Execution, LogError, WorkflowLog};
+use crate::{Execution, WorkflowLog};
 
 /// Struct-of-arrays event storage: all instances of all executions in
 /// four parallel buffers, executions delimited CSR-style by `offsets`.
@@ -84,8 +79,7 @@ impl EventColumns {
     }
 
     /// Flattens a [`WorkflowLog`]'s instance rows into columns
-    /// (dropping ids and outputs — see [`CompactLog`] for the lossless
-    /// wrapper).
+    /// (dropping case ids and outputs).
     pub fn from_log(log: &WorkflowLog) -> Self {
         let events = log.executions().iter().map(Execution::len).sum();
         let mut cols = EventColumns::with_capacity(log.len(), events);
@@ -161,99 +155,10 @@ impl EventColumns {
     }
 }
 
-/// A [`WorkflowLog`] in columnar form, losslessly.
-///
-/// [`EventColumns`] carries what the miners consume; this wrapper adds
-/// the activity table, per-execution case ids, and the sparse output
-/// vectors (Definition 2's `O` field, present on few events in
-/// practice) so the row form can be reconstructed exactly.
-#[derive(Debug, Clone)]
-pub struct CompactLog {
-    activities: ActivityTable,
-    ids: Vec<String>,
-    columns: EventColumns,
-    /// `(exec index, event index within the execution, output vector)`
-    /// for each event that recorded an output, in log order.
-    outputs: Vec<(u32, u32, Vec<i64>)>,
-}
-
-impl CompactLog {
-    /// Converts a row-layout log to columns, keeping everything needed
-    /// to invert the conversion.
-    pub fn from_log(log: &WorkflowLog) -> Self {
-        let mut outputs = Vec::new();
-        for (x, e) in log.executions().iter().enumerate() {
-            for (j, inst) in e.instances().iter().enumerate() {
-                if let Some(out) = &inst.output {
-                    outputs.push((x as u32, j as u32, out.clone()));
-                }
-            }
-        }
-        CompactLog {
-            activities: log.activities().clone(),
-            ids: log.executions().iter().map(|e| e.id.clone()).collect(),
-            columns: EventColumns::from_log(log),
-            outputs,
-        }
-    }
-
-    /// Reconstructs the row-layout log. Exact inverse of
-    /// [`from_log`](Self::from_log): ids, instance order, and outputs
-    /// all round-trip.
-    pub fn to_log(&self) -> Result<WorkflowLog, LogError> {
-        let mut log = WorkflowLog::with_activities(self.activities.clone());
-        let mut out_iter = self.outputs.iter().peekable();
-        for (x, id) in self.ids.iter().enumerate() {
-            let cols = self.columns.exec(x);
-            let mut instances: Vec<ActivityInstance> = (0..cols.len())
-                .map(|j| ActivityInstance {
-                    activity: ActivityId::from_index(cols.activities[j] as usize),
-                    start: cols.starts[j],
-                    end: cols.ends[j],
-                    output: None,
-                })
-                .collect();
-            while let Some((ex, j, out)) = out_iter.peek() {
-                if *ex as usize != x {
-                    break;
-                }
-                instances[*j as usize].output = Some(out.clone());
-                out_iter.next();
-            }
-            log.push(Execution::new(id.clone(), instances)?);
-        }
-        Ok(log)
-    }
-
-    /// The shared activity table.
-    pub fn activities(&self) -> &ActivityTable {
-        &self.activities
-    }
-
-    /// The per-execution case ids, in log order.
-    pub fn ids(&self) -> &[String] {
-        &self.ids
-    }
-
-    /// The event columns.
-    pub fn columns(&self) -> &EventColumns {
-        &self.columns
-    }
-
-    /// Number of executions.
-    pub fn len(&self) -> usize {
-        self.ids.len()
-    }
-
-    /// `true` if the log has no executions.
-    pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ActivityInstance;
 
     fn sample_log() -> WorkflowLog {
         let mut log = WorkflowLog::new();
@@ -322,39 +227,5 @@ mod tests {
         assert_eq!(cols.exec_count(), 2);
         assert_eq!(cols.exec(0).activities, &[4, 2]);
         assert_eq!(cols.exec(1).ends, &[5]);
-    }
-
-    #[test]
-    fn compact_log_round_trips_losslessly() {
-        let log = sample_log();
-        let compact = CompactLog::from_log(&log);
-        assert_eq!(compact.len(), 2);
-        assert_eq!(compact.ids(), &["case-1".to_string(), "case-2".to_string()]);
-        let back = compact.to_log().unwrap();
-        assert_eq!(back.activities().names(), log.activities().names());
-        assert_eq!(back.executions(), log.executions());
-    }
-
-    #[test]
-    fn round_trip_preserves_outputs_and_empty_log() {
-        let log = sample_log();
-        let back = CompactLog::from_log(&log).to_log().unwrap();
-        assert_eq!(
-            back.executions()[0].instances()[1].output,
-            Some(vec![7, -1])
-        );
-        assert_eq!(back.executions()[1].instances()[1].output, Some(vec![0]));
-        let empty = WorkflowLog::new();
-        let back = CompactLog::from_log(&empty).to_log().unwrap();
-        assert!(back.is_empty());
-    }
-
-    #[test]
-    fn round_trip_from_sequences() {
-        let log = WorkflowLog::from_sequences([vec!["A", "B", "C", "E"], vec!["A", "C", "D", "E"]])
-            .unwrap();
-        let back = CompactLog::from_log(&log).to_log().unwrap();
-        assert_eq!(back.executions(), log.executions());
-        assert_eq!(back.activities().names(), log.activities().names());
     }
 }

@@ -56,7 +56,7 @@ pub mod validate;
 
 pub use activity::{ActivityId, ActivityTable};
 pub use codec::{IngestError, IngestReport, RecoveryPolicy};
-pub use columnar::{CompactLog, EventColumns, ExecColumns};
+pub use columnar::{EventColumns, ExecColumns};
 pub use error::LogError;
 pub use event::{EventKind, EventRecord};
 pub use execution::{ActivityInstance, Execution};

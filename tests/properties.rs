@@ -355,7 +355,7 @@ proptest! {
     ) {
         // Degenerate chunking: most threads receive no executions at
         // all; merge-at-join must still reproduce the serial result.
-        use procmine::mine::{mine_general_dag_in, MineSession, MinerMetrics};
+        use procmine::mine::{mine_general_dag_in, Counters, MineSession, MinerMetrics};
         let mut serial_metrics = MinerMetrics::new();
         let mut serial_session = MineSession::new().with_sink(&mut serial_metrics);
         let serial =
